@@ -14,7 +14,8 @@ use pdat::{run_pdat, ConstraintMode, Environment, PdatConfig};
 use pdat_aig::netlist_to_aig;
 use pdat_cores::build_ibex;
 use pdat_isa::RvSubset;
-use pdat_mc::{candidates_for_netlist, houdini_prove, HoudiniConfig};
+use pdat_governor::Governor;
+use pdat_mc::{candidates_for_netlist, houdini_prove_warm_governed, HoudiniConfig};
 use std::hint::black_box;
 use std::sync::Once;
 
@@ -88,16 +89,18 @@ fn bench_no_sim_filter(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("houdini_unfiltered_2k_candidates", |b| {
         b.iter(|| {
-            houdini_prove(
+            houdini_prove_warm_governed(
                 &na.aig,
                 pdat_aig::AigLit::TRUE,
                 &na,
                 black_box(&slice),
+                &[],
                 &HoudiniConfig {
                     conflict_budget: Some(5_000),
                     max_iterations: 200,
                     ..Default::default()
                 },
+                &Governor::unlimited(),
             )
         })
     });

@@ -17,8 +17,9 @@
 
 use pdat_aig::{Aig, AigLit, AigNode, AigNodeId, NetlistAig};
 use pdat_bench::{ibex_rv32i_analysis, parse_bench_args};
+use pdat_governor::Governor;
 use pdat_mc::{
-    simulate_filter_reference, simulate_filter_with_stats, Candidate, CandidateKind,
+    simulate_filter_governed, simulate_filter_reference, Candidate, CandidateKind,
     SimFilterConfig, SimFilterStats,
 };
 use rand::rngs::StdRng;
@@ -311,7 +312,12 @@ fn main() {
     for threads in [1usize, 2, 4] {
         runs.push(measure(
             format!("parallel_t{threads}"),
-            &|c| simulate_filter_with_stats(na, constraint, candidates, c, &stimulus, seed),
+            &|c| {
+                let gov = Governor::unlimited();
+                let (survivors, stats, _) =
+                    simulate_filter_governed(na, constraint, candidates, c, &stimulus, seed, &gov);
+                (survivors, stats)
+            },
             threads,
         ));
     }

@@ -23,7 +23,8 @@
 use pdat::{Governor, GovernorConfig};
 use pdat_bench::{ibex_rv32i_analysis, parse_bench_args, ProveTimeSplit};
 use pdat_mc::{
-    houdini_prove_governed, simulate_filter_governed, HoudiniConfig, ProveConfig, SimFilterConfig,
+    houdini_prove_warm_governed, simulate_filter_governed, HoudiniConfig, ProveConfig,
+    SimFilterConfig,
 };
 use std::time::{Duration, Instant};
 
@@ -146,8 +147,9 @@ fn main() {
                     armed_governor()
                 };
                 let t = Instant::now();
-                let (proved, stats, events) =
-                    houdini_prove_governed(&na.aig, constraint, na, &survivors, &cfg, &gov);
+                let (proved, stats, events) = houdini_prove_warm_governed(
+                    &na.aig, constraint, na, &survivors, &[], &cfg, &gov,
+                );
                 let dt = t.elapsed().as_secs_f64();
                 assert!(events.is_empty(), "an untripped governor must not degrade");
                 match &golden {

@@ -2,23 +2,21 @@
 //!
 //! Drives the full PDAT pipeline on the keyed-design fixture through the
 //! *governed, sharded* prover — 2 worker threads, one candidate per shard
-//! — and checks the result against a golden proved-invariant list, once
-//! per encoding path: the default cone-of-influence + CNF-preprocessing
-//! prover and the eager full-frame encoding. This pins four contracts at
-//! once:
+//! — and checks the result against a golden proved-invariant list. This
+//! pins three contracts at once:
 //!
 //! - the parallel prover is live and converges on a multi-shard fixpoint
 //!   (the key invariant needs mutual induction across shard boundaries);
 //! - an armed-but-untripped governor does not perturb the result (no
 //!   degradation events);
 //! - the proved list is exactly the golden set, in candidate order — any
-//!   unsound over-proving (or lost invariant) fails the gate;
-//! - the COI path proves the bit-identical set the full encoding proves.
+//!   unsound over-proving (or lost invariant) fails the gate.
 //!
 //! Exits nonzero on any violation.
 
 use pdat::{
-    run_pdat_governed, Environment, Governor, GovernorConfig, PdatConfig, ProveConfig,
+    run_pdat_batch, BatchRequest, Environment, Governor, GovernorConfig, PdatConfig, ProofCache,
+    ProveConfig,
 };
 use pdat_mc::CandidateKind;
 use pdat_netlist::{CellKind, Netlist};
@@ -38,9 +36,9 @@ fn keyed_design() -> Netlist {
     nl
 }
 
-/// Run one encoding path against the golden list; returns the number of
-/// failed checks.
-fn run_path(nl: &Netlist, label: &str, coi: bool, preprocess: bool) -> usize {
+/// Run the prover against the golden list; returns the number of failed
+/// checks.
+fn run(nl: &Netlist) -> usize {
     let config = PdatConfig {
         sim_cycles: 64,
         conflict_budget: Some(40_000),
@@ -49,8 +47,6 @@ fn run_path(nl: &Netlist, label: &str, coi: bool, preprocess: bool) -> usize {
         prove: ProveConfig {
             threads: 2,
             shard_size: 1, // one candidate per shard: worst-case split
-            coi,
-            preprocess,
             ..Default::default()
         },
         ..Default::default()
@@ -62,20 +58,26 @@ fn run_path(nl: &Netlist, label: &str, coi: bool, preprocess: bool) -> usize {
         cycle_budget: Some(u64::MAX / 2),
         ..Default::default()
     });
-    let res = run_pdat_governed(nl, &Environment::Unconstrained, &[], &config, &governor)
+    let request = [BatchRequest {
+        env: Environment::Unconstrained,
+        extras: Vec::new(),
+    }];
+    let res = run_pdat_batch(nl, &request, &config, &governor, &ProofCache::new())
+        .ok()
+        .and_then(|mut slots| slots.pop()?.ok()?.result)
         .expect("prove smoke: pipeline run failed");
 
     let mut failures = 0usize;
     if !res.degradations.is_empty() {
         eprintln!(
-            "FAIL[{label}]: untripped governor produced degradations: {:?}",
+            "FAIL: untripped governor produced degradations: {:?}",
             res.degradations
         );
         failures += 1;
     }
     let shards = res.houdini_stats.shard_stats.len();
     if shards < 2 {
-        eprintln!("FAIL[{label}]: expected a multi-shard prove, got {shards} shard(s)");
+        eprintln!("FAIL: expected a multi-shard prove, got {shards} shard(s)");
         failures += 1;
     }
     let proved: Vec<(String, CandidateKind)> = res
@@ -91,13 +93,13 @@ fn run_path(nl: &Netlist, label: &str, coi: bool, preprocess: bool) -> usize {
         ("out".to_string(), CandidateKind::EqualNet(t)),
     ];
     if proved != golden {
-        eprintln!("FAIL[{label}]: proved list diverged from golden");
+        eprintln!("FAIL: proved list diverged from golden");
         eprintln!("  golden: {golden:?}");
         eprintln!("  proved: {proved:?}");
         failures += 1;
     }
     println!(
-        "prove smoke [{label}]: {} invariant(s) proved across {} shards in {} rounds, {} solves",
+        "prove smoke: {} invariant(s) proved across {} shards in {} rounds, {} solves",
         proved.len(),
         shards,
         res.houdini_stats.rounds,
@@ -107,11 +109,7 @@ fn run_path(nl: &Netlist, label: &str, coi: bool, preprocess: bool) -> usize {
 }
 
 fn main() {
-    let nl = keyed_design();
-    // Both encoding paths must hit the same golden list: the default COI +
-    // preprocessing prover and the eager full-frame encoding it replaced.
-    let mut failures = run_path(&nl, "coi+preprocess", true, true);
-    failures += run_path(&nl, "full-encoding", false, false);
+    let failures = run(&keyed_design());
     if failures > 0 {
         eprintln!("prove smoke: {failures} check(s) failed");
         std::process::exit(1);

@@ -26,7 +26,7 @@
 //! a quick check and only warns on a missed target.
 
 use pdat::{
-    run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect, PdatConfig, ProofCache,
+    run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect, Governor, PdatConfig, ProofCache,
     ProveConfig, SubsetReport,
 };
 use pdat_bench::{ibex_rv32i_analysis, parse_bench_args, ProveTimeSplit};
@@ -191,7 +191,13 @@ fn main() {
         .collect();
     let cache = ProofCache::new();
     let warm_wall = Instant::now();
-    let warm: Vec<_> = run_pdat_batch(&setup.core.netlist, &requests, &config, &cache)
+    let warm: Vec<_> = run_pdat_batch(
+        &setup.core.netlist,
+        &requests,
+        &config,
+        &Governor::unlimited(),
+        &cache,
+    )
         .expect("warm batch failed")
         .into_iter()
         .map(|r| r.expect("warm request failed"))

@@ -72,7 +72,6 @@ pub use pdat_mc::{
     Candidate, CandidateId, CandidateKind, HoudiniStats, ProveConfig, ShardStats, SimFilterStats,
 };
 pub use pipeline::{
-    canonical_env, run_pdat, run_pdat_batch, run_pdat_batch_governed, run_pdat_cached,
-    run_pdat_cached_governed, run_pdat_governed, run_pdat_with, BatchRequest, CacheEffect,
+    canonical_env, run_pdat, run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect,
     Environment, ExtraRestriction, PdatConfig, PdatError, PdatResult, SubsetReport,
 };

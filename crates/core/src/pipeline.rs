@@ -101,6 +101,20 @@ pub enum PdatError {
     /// A netlist file failed to parse (carried through for callers that
     /// feed `parse_netlist` output straight into the pipeline).
     Parse(ParseNetlistError),
+    /// An environment or [`ExtraRestriction`] names a net the netlist does
+    /// not have.
+    UnknownNet {
+        /// The offending net id.
+        net: NetId,
+    },
+    /// An [`ExtraRestriction::CodeAt`] lists more address or data nets than
+    /// its 32-bit value has bits.
+    RestrictionTooWide {
+        /// Nets listed.
+        nets: usize,
+        /// Bits the value has.
+        bits: u32,
+    },
 }
 
 impl fmt::Display for PdatError {
@@ -114,6 +128,10 @@ impl fmt::Display for PdatError {
                  CutpointBased requires the nets listed as cutpoints"
             ),
             PdatError::Parse(e) => write!(f, "netlist parse error: {e}"),
+            PdatError::UnknownNet { net } => write!(f, "net #{} is not in the netlist", net.0),
+            PdatError::RestrictionTooWide { nets, bits } => {
+                write!(f, "restriction lists {nets} nets for a {bits}-bit value")
+            }
         }
     }
 }
@@ -241,6 +259,15 @@ pub enum ExtraRestriction {
 /// removed (paper §IV). The baseline for comparison is the same netlist
 /// resynthesized without any restriction.
 ///
+/// The run is governed by `config`'s `deadline`, `global_*_budget` and
+/// `fault_plan`. When the governor trips mid-run the pipeline degrades
+/// gracefully: candidates that could not be fully vetted are
+/// conservatively dropped (sound — the proved set only shrinks), and the
+/// run completes with whatever was proved, recording each cut in
+/// [`PdatResult::degradations`]. Extra restrictions, a proof cache, and a
+/// caller-supplied governor go through [`run_pdat_cached`] or
+/// [`run_pdat_batch`].
+///
 /// # Errors
 ///
 /// Returns [`PdatError`] if the input netlist is structurally invalid or
@@ -250,61 +277,25 @@ pub fn run_pdat(
     env: &Environment<'_>,
     config: &PdatConfig,
 ) -> Result<PdatResult, PdatError> {
-    run_pdat_with(netlist, env, &[], config)
-}
-
-/// [`run_pdat`] with additional [`ExtraRestriction`]s conjoined into the
-/// environment.
-///
-/// # Errors
-///
-/// Returns [`PdatError`] if the input netlist is structurally invalid or
-/// a constraint net is not a free analysis variable.
-pub fn run_pdat_with(
-    netlist: &Netlist,
-    env: &Environment<'_>,
-    extras: &[ExtraRestriction],
-    config: &PdatConfig,
-) -> Result<PdatResult, PdatError> {
-    let governor = Governor::new(&GovernorConfig {
-        deadline: config.deadline,
-        conflict_budget: config.global_conflict_budget,
-        cycle_budget: config.global_cycle_budget,
-        fault_plan: config.fault_plan.clone(),
-    });
-    run_pdat_governed(netlist, env, extras, config, &governor)
-}
-
-/// [`run_pdat_with`] against a caller-supplied [`Governor`], for embedding
-/// the pipeline under an external resource manager or cancellation source
-/// (the governor can be cloned to another thread and `cancel()`ed). The
-/// governor's own budgets apply; the `deadline` / `global_*_budget` /
-/// `fault_plan` fields of `config` are ignored in this variant.
-///
-/// When the governor trips mid-run the pipeline degrades gracefully:
-/// candidates that could not be fully vetted are conservatively dropped
-/// (sound — the proved set only shrinks), and the run completes with
-/// whatever was proved, recording each cut in
-/// [`PdatResult::degradations`].
-///
-/// # Errors
-///
-/// Returns [`PdatError`] if the input netlist is structurally invalid or
-/// a constraint net is not a free analysis variable.
-pub fn run_pdat_governed(
-    netlist: &Netlist,
-    env: &Environment<'_>,
-    extras: &[ExtraRestriction],
-    config: &PdatConfig,
-    governor: &Governor,
-) -> Result<PdatResult, PdatError> {
+    let governor = config_governor(config);
     netlist.validate()?;
     let baseline = baseline_stats(netlist);
     let na = netlist_to_aig(netlist, &cut_nets_for(env));
     let candidates = candidates_for_netlist(netlist, &na);
     run_prepared(
-        netlist, baseline, na, candidates, env, extras, &[], config, governor,
+        netlist, baseline, na, candidates, env, &[], &[], config, &governor,
     )
+}
+
+/// The governor of a run that brings none: `config`'s deadline, global
+/// budgets and fault plan.
+fn config_governor(config: &PdatConfig) -> Governor {
+    Governor::new(&GovernorConfig {
+        deadline: config.deadline,
+        conflict_budget: config.global_conflict_budget,
+        cycle_budget: config.global_cycle_budget,
+        fault_plan: config.fault_plan.clone(),
+    })
 }
 
 /// Baseline: plain synthesis, no properties. Ungoverned on purpose: the
@@ -357,7 +348,7 @@ fn run_prepared(
     // --- Stage 0/1: environment restriction onto the analysis model ---
     let (mut constraint, instr_constraints) = build_constraint(&mut na, netlist, env)?;
     for extra in extras {
-        let lit = build_extra(&mut na, extra);
+        let lit = build_extra(&mut na, extra)?;
         constraint = na.aig.and(constraint, lit);
     }
     let constraint = constraint;
@@ -555,15 +546,17 @@ pub struct SubsetReport {
     pub result: Option<PdatResult>,
 }
 
-/// [`run_pdat_with`] through the proof cache: exact hits skip the whole
-/// pipeline, lattice hits (a cached superset environment) warm-start the
-/// prover, misses solve cold — and every complete (undegraded) solve is
-/// inserted for future reuse.
+/// [`run_pdat`] with additional [`ExtraRestriction`]s, through the proof
+/// cache: exact hits skip the whole pipeline, lattice hits (a cached
+/// superset environment) warm-start the prover, misses solve cold — and
+/// every complete (undegraded) solve is inserted for future reuse. An
+/// uncached run passes a fresh [`ProofCache`].
 ///
 /// # Errors
 ///
-/// Returns [`PdatError`] if the input netlist is structurally invalid or
-/// a constraint net is not a free analysis variable.
+/// Returns [`PdatError`] if the input netlist is structurally invalid, a
+/// constraint net is not a free analysis variable, or an extra
+/// restriction is malformed.
 pub fn run_pdat_cached(
     netlist: &Netlist,
     env: &Environment<'_>,
@@ -571,30 +564,7 @@ pub fn run_pdat_cached(
     config: &PdatConfig,
     cache: &ProofCache,
 ) -> Result<SubsetReport, PdatError> {
-    let governor = Governor::new(&GovernorConfig {
-        deadline: config.deadline,
-        conflict_budget: config.global_conflict_budget,
-        cycle_budget: config.global_cycle_budget,
-        fault_plan: config.fault_plan.clone(),
-    });
-    run_pdat_cached_governed(netlist, env, extras, config, &governor, cache)
-}
-
-/// [`run_pdat_cached`] against a caller-supplied [`Governor`] (see
-/// [`run_pdat_governed`] for governor semantics).
-///
-/// # Errors
-///
-/// Returns [`PdatError`] if the input netlist is structurally invalid or
-/// a constraint net is not a free analysis variable.
-pub fn run_pdat_cached_governed(
-    netlist: &Netlist,
-    env: &Environment<'_>,
-    extras: &[ExtraRestriction],
-    config: &PdatConfig,
-    governor: &Governor,
-    cache: &ProofCache,
-) -> Result<SubsetReport, PdatError> {
+    let governor = config_governor(config);
     netlist.validate()?;
     let nfp = netlist_fingerprint(netlist);
     let cenv = canonical_env(env, extras);
@@ -606,7 +576,7 @@ pub fn run_pdat_cached_governed(
         env,
         extras,
         config,
-        governor,
+        &governor,
         cache,
         &mut None,
     )
@@ -631,8 +601,12 @@ pub struct BatchRequest<'a> {
 ///   chain `E ⊇ E' ⊇ E''` resolves ancestors first and every descendant
 ///   warm-starts from the closest cached superset; duplicates collapse
 ///   to exact hits.
-/// * One shared governor spans the batch: its budgets are drained in
-///   that same deterministic order.
+/// * One shared, caller-supplied governor spans the batch: its budgets
+///   are drained in that same deterministic order, and it can be cloned
+///   to another thread and `cancel()`ed. The `deadline` /
+///   `global_*_budget` / `fault_plan` fields of `config` are ignored
+///   here; [`run_pdat`] and [`run_pdat_cached`] build their governor from
+///   them.
 /// * Failures are **per-request**: a malformed request (e.g. a
 ///   constraint net that is not a free analysis variable) yields an
 ///   `Err` in its own slot and does not sink its batch-mates.
@@ -646,29 +620,6 @@ pub struct BatchRequest<'a> {
 /// batch — a structurally invalid shared netlist. Everything
 /// request-specific comes back in that request's slot.
 pub fn run_pdat_batch(
-    netlist: &Netlist,
-    requests: &[BatchRequest<'_>],
-    config: &PdatConfig,
-    cache: &ProofCache,
-) -> Result<Vec<Result<SubsetReport, PdatError>>, PdatError> {
-    let governor = Governor::new(&GovernorConfig {
-        deadline: config.deadline,
-        conflict_budget: config.global_conflict_budget,
-        cycle_budget: config.global_cycle_budget,
-        fault_plan: config.fault_plan.clone(),
-    });
-    run_pdat_batch_governed(netlist, requests, config, &governor, cache)
-}
-
-/// [`run_pdat_batch`] against a caller-supplied shared [`Governor`].
-///
-/// # Errors
-///
-/// Returns an outer [`PdatError`] only if the shared netlist is
-/// structurally invalid; per-request failures (e.g. an unbound
-/// constraint net) land in that request's own slot without affecting
-/// its batch-mates.
-pub fn run_pdat_batch_governed(
     netlist: &Netlist,
     requests: &[BatchRequest<'_>],
     config: &PdatConfig,
@@ -801,7 +752,21 @@ fn solve_cached(
     })
 }
 
-fn build_extra(na: &mut NetlistAig, extra: &ExtraRestriction) -> pdat_aig::AigLit {
+fn build_extra(na: &mut NetlistAig, extra: &ExtraRestriction) -> Result<AigLit, PdatError> {
+    // "nets == value", bit i of `value` on net i; bits past its width read
+    // as 0.
+    fn equals(na: &mut NetlistAig, nets: &[NetId], value: u64) -> Result<AigLit, PdatError> {
+        let terms = nets
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let l = *na.net_lit.get(n).ok_or(PdatError::UnknownNet { net: *n })?;
+                let want = i < 64 && value >> i & 1 == 1;
+                Ok(if want { l } else { !l })
+            })
+            .collect::<Result<Vec<AigLit>, PdatError>>()?;
+        Ok(na.aig.and_many(&terms))
+    }
     match extra {
         ExtraRestriction::CodeAt {
             addr,
@@ -809,32 +774,15 @@ fn build_extra(na: &mut NetlistAig, extra: &ExtraRestriction) -> pdat_aig::AigLi
             address,
             word,
         } => {
+            if let Some(nets) = [addr.len(), data.len()].into_iter().find(|&n| n > 32) {
+                return Err(PdatError::RestrictionTooWide { nets, bits: 32 });
+            }
             // match := (addr == address); lit := match -> (data == word)
-            let mut eq_terms = Vec::new();
-            for (i, n) in addr.iter().enumerate() {
-                let l = na.net_lit[n];
-                let want = address >> i & 1 == 1;
-                eq_terms.push(if want { l } else { !l });
-            }
-            let m = na.aig.and_many(&eq_terms);
-            let mut data_terms = Vec::new();
-            for (i, n) in data.iter().enumerate() {
-                let l = na.net_lit[n];
-                let want = word >> i & 1 == 1;
-                data_terms.push(if want { l } else { !l });
-            }
-            let d = na.aig.and_many(&data_terms);
-            na.aig.implies(m, d)
+            let m = equals(na, addr, u64::from(*address))?;
+            let d = equals(na, data, u64::from(*word))?;
+            Ok(na.aig.implies(m, d))
         }
-        ExtraRestriction::PinnedInput { nets, value } => {
-            let mut terms = Vec::new();
-            for (i, n) in nets.iter().enumerate() {
-                let l = na.net_lit[n];
-                let want = i < 64 && value >> i & 1 == 1;
-                terms.push(if want { l } else { !l });
-            }
-            na.aig.and_many(&terms)
-        }
+        ExtraRestriction::PinnedInput { nets, value } => equals(na, nets, *value),
     }
 }
 
@@ -855,6 +803,9 @@ fn build_constraint(
             let lits: Vec<AigLit> = nets
                 .iter()
                 .map(|n| {
+                    if n.index() >= netlist.num_nets() {
+                        return Err(PdatError::UnknownNet { net: *n });
+                    }
                     na.input_lit
                         .get(n)
                         .copied()
@@ -1088,7 +1039,8 @@ mod tests {
                 extras: vec![],
             },
         ];
-        let outcomes = run_pdat_batch(&nl, &requests, &cfg, &cache).expect("valid netlist");
+        let outcomes = run_pdat_batch(&nl, &requests, &cfg, &Governor::unlimited(), &cache)
+            .expect("valid netlist");
         assert_eq!(outcomes.len(), 3);
         let reports: Vec<&SubsetReport> = outcomes
             .iter()
@@ -1145,8 +1097,14 @@ mod tests {
                 extras: vec![],
             },
         ];
-        let outcomes =
-            run_pdat_batch(&nl, &requests, &PdatConfig::default(), &cache).expect("valid netlist");
+        let outcomes = run_pdat_batch(
+            &nl,
+            &requests,
+            &PdatConfig::default(),
+            &Governor::unlimited(),
+            &cache,
+        )
+        .expect("valid netlist");
         assert_eq!(outcomes.len(), 3);
         assert!(
             matches!(

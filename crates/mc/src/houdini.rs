@@ -18,8 +18,8 @@
 //!
 //! # Cone-of-influence encoding
 //!
-//! With [`ProveConfig::coi`] (the default) a shard does not encode the full
-//! two-frame transition relation. It Tseitin-encodes only the
+//! A shard does not encode the full two-frame transition relation. It
+//! Tseitin-encodes only the
 //! transitive-fanin cones it can ever query: the frame-1 cones of its *own*
 //! candidates' nets (through the latches back into frame 0), the
 //! environment-constraint cones on both frames, and — lazily, at the first
@@ -30,13 +30,13 @@
 //! equisatisfiable with the full one for every query the shard issues (the
 //! omitted Tseitin definitions are functions of free inputs/state and can
 //! always be extended), and Houdini's fixpoint is unique, so the proved set
-//! is bit-identical to the full-encoding prover's — see
-//! `tests/parallel_determinism.rs`.
+//! is bit-identical to a plain full-encoding Houdini's — the test-only
+//! oracle in `tests/common/` that `tests/parallel_determinism.rs` compares
+//! against.
 //!
 //! # CNF preprocessing
 //!
-//! With [`ProveConfig::preprocess`] (the default) each shard runs
-//! [`pdat_sat::Solver::preprocess`] once, right after its first
+//! Each shard runs [`pdat_sat::Solver::preprocess`] once, right after its first
 //! base-assumption build (so every lazily-requested hypothesis cone is
 //! already in the CNF): bounded variable elimination plus
 //! subsumption/self-subsuming resolution. Everything the prover touches
@@ -75,7 +75,7 @@
 //! sequential shard execution to stay reproducible.
 
 use crate::candidates::{Candidate, CandidateId, CandidateKind};
-use pdat_aig::{Aig, AigLit, ConeEncoder, Frame, FrameEncoder, NetlistAig};
+use pdat_aig::{Aig, AigLit, ConeEncoder, NetlistAig};
 use pdat_governor::{Cause, DegradationEvent, Governor, Stage};
 use pdat_sat::{Lit, SolveResult, Solver, Var};
 use std::collections::HashSet;
@@ -96,14 +96,6 @@ pub struct ProveConfig {
     /// Learnt-clause retention cap per shard solver (see
     /// [`pdat_sat::Solver::set_clause_db_limit`]).
     pub clause_db_limit: usize,
-    /// Encode only the cone of influence of each shard's queries instead of
-    /// the full two-frame transition relation (see the module docs). Never
-    /// affects the proved set; `false` restores the eager full encoding.
-    pub coi: bool,
-    /// Run deterministic CNF preprocessing (bounded variable elimination +
-    /// subsumption) on each shard's solver before its first query. Never
-    /// affects the proved set on unbudgeted runs.
-    pub preprocess: bool,
 }
 
 impl Default for ProveConfig {
@@ -112,8 +104,6 @@ impl Default for ProveConfig {
             threads: 4,
             shard_size: 0,
             clause_db_limit: 8192,
-            coi: true,
-            preprocess: true,
         }
     }
 }
@@ -139,7 +129,7 @@ impl Default for HoudiniConfig {
     }
 }
 
-/// Per-shard solver and timing counters from a [`houdini_prove`] run.
+/// Per-shard solver and timing counters from a [`houdini_prove_warm_governed`] run.
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Shard index (candidate-order position of the slice).
@@ -158,8 +148,8 @@ pub struct ShardStats {
     pub vars: usize,
     /// Problem clauses in this shard's encoding.
     pub clauses: usize,
-    /// Variables before preprocessing (equals `vars` when preprocessing is
-    /// off or never ran).
+    /// Variables before preprocessing (equals `vars` when preprocessing
+    /// never ran).
     pub vars_pre: usize,
     /// Problem clauses before preprocessing.
     pub clauses_pre: usize,
@@ -167,8 +157,7 @@ pub struct ShardStats {
     pub vars_post: usize,
     /// Live problem clauses after preprocessing.
     pub clauses_post: usize,
-    /// AND gates Tseitin-encoded in frame 0 (cone size under COI; the full
-    /// AIG AND count on the eager path).
+    /// AND gates Tseitin-encoded in frame 0 (the shard's cone of influence).
     pub cone_f0_ands: usize,
     /// AND gates Tseitin-encoded in frame 1.
     pub cone_f1_ands: usize,
@@ -180,7 +169,7 @@ pub struct ShardStats {
     pub preprocess_seconds: f64,
 }
 
-/// Statistics from a [`houdini_prove`] run.
+/// Statistics from a [`houdini_prove_warm_governed`] run.
 #[derive(Debug, Clone, Default)]
 pub struct HoudiniStats {
     /// Total SAT queries across all shards and rounds.
@@ -209,51 +198,26 @@ pub struct HoudiniStats {
     pub shard_stats: Vec<ShardStats>,
 }
 
-/// Prove candidates by mutual induction.
-///
-/// Precondition: every candidate already holds in the reset state and on
-/// all simulated constrained executions (run
-/// [`crate::simulate_filter`] first — Houdini itself only checks
-/// *consecution*, with the base case discharged by the simulation pass
-/// evaluating the reset state).
-///
-/// Returns the proved subset and run statistics. Resource exhaustion drops
-/// candidates (sound: fewer proofs, never wrong ones).
-pub fn houdini_prove(
-    aig: &Aig,
-    constraint: AigLit,
-    na: &NetlistAig,
-    candidates: &[Candidate],
-    config: &HoudiniConfig,
-) -> (Vec<Candidate>, HoudiniStats) {
-    let (proved, stats, _events) =
-        houdini_prove_governed(aig, constraint, na, candidates, config, &Governor::unlimited());
-    (proved, stats)
-}
-
-/// One shard: a private solver holding a two-frame encoding (full or
-/// cone-of-influence), with hypothesis literals for every candidate and
-/// failure detectors for the owned slice.
+/// One shard: a private solver holding a cone-of-influence two-frame
+/// encoding, with hypothesis literals for every candidate and failure
+/// detectors for the owned slice.
 struct Shard<'a> {
     index: usize,
     solver: Solver,
     /// Frame-0 "candidate holds" assumption literal, indexed by slot
     /// (position in the resolvable-candidate list). Shared hypothesis
     /// vocabulary: every shard assumes the globally-alive subset of these.
-    /// On the eager path every entry is `Some` from construction; under COI
-    /// an entry stays `None` until [`Shard::hyp_lit`] first encodes its
+    /// An entry stays `None` until [`Shard::hyp_lit`] first encodes its
     /// frame-0 cone.
     hyp: Vec<Option<Lit>>,
-    /// Demand-driven cone encoder (`None` on the full-encoding path, where
-    /// everything is encoded up front).
-    enc: Option<ConeEncoder<'a>>,
+    /// Demand-driven cone encoder.
+    enc: ConeEncoder<'a>,
     /// Set once [`Shard::run_preprocess`] has run: the CNF may have
     /// eliminated variables, so no further cones may be encoded.
     preprocessed: bool,
     /// Variables the preprocessor must not eliminate, beyond the hypothesis
-    /// literals: fail selectors, OR-tree selectors + root, frame-1
-    /// indicator vars (models are read through them), and — on the eager
-    /// path — the frame-0 latch interface.
+    /// literals: fail selectors, OR-tree selectors + root, and frame-1
+    /// indicator vars (models are read through them).
     frozen_extra: Vec<Var>,
     /// Snapshot of (vars, clauses) taken just before preprocessing.
     pre_stats: Option<(usize, usize)>,
@@ -313,10 +277,7 @@ impl<'a> Shard<'a> {
             !self.preprocessed,
             "hypothesis cone requested after preprocessing"
         );
-        let enc = self
-            .enc
-            .as_mut()
-            .expect("lazy hypothesis literal on the full-encoding path");
+        let enc = &mut self.enc;
         let c = &candidates[resolvable[slot]];
         let target = enc.lit(&mut self.solver, 0, na.net_lit[&c.net]);
         let l = match c.kind {
@@ -346,9 +307,7 @@ impl<'a> Shard<'a> {
         let mut frozen: Vec<Var> = Vec::new();
         frozen.extend(self.hyp.iter().flatten().map(|l| l.var()));
         frozen.extend(self.frozen_extra.iter().copied());
-        if let Some(enc) = &self.enc {
-            frozen.extend(enc.state_vars().iter().map(|l| l.var()));
-        }
+        frozen.extend(self.enc.state_vars().iter().map(|l| l.var()));
         let t0 = Instant::now();
         self.solver.preprocess(&frozen);
         self.preprocess_seconds += t0.elapsed().as_secs_f64();
@@ -376,27 +335,27 @@ struct RoundOutcome {
     events: Vec<DegradationEvent>,
 }
 
-/// [`houdini_prove`] under a shared [`Governor`]: SAT conflicts are charged
-/// to the global budget, each round pre-apportions the remaining global
-/// allowance across dirty shards, each query's per-solve budget is
-/// `min(config.conflict_budget, shard allowance left)`, and global
-/// exhaustion (budget, deadline, cancellation, or an armed solver fault)
-/// drops *all* still-alive candidates — recorded in the stats and as
-/// [`DegradationEvent`]s — instead of proving them. Dropping is sound
-/// (paper §VII-C): an unproved candidate is simply not rewired.
-pub fn houdini_prove_governed(
-    aig: &Aig,
-    constraint: AigLit,
-    na: &NetlistAig,
-    candidates: &[Candidate],
-    config: &HoudiniConfig,
-    governor: &Governor,
-) -> (Vec<Candidate>, HoudiniStats, Vec<DegradationEvent>) {
-    houdini_prove_warm_governed(aig, constraint, na, candidates, &[], config, governor)
-}
-
-/// [`houdini_prove_governed`] warm-started with invariants already proved
-/// under a *weaker* (superset) environment.
+/// Prove candidates by mutual induction under a shared [`Governor`],
+/// warm-started with invariants already proved under a *weaker* (superset)
+/// environment (`warm` may be empty for a cold run).
+///
+/// Precondition: every candidate already holds in the reset state and on
+/// all simulated constrained executions (run
+/// [`crate::simulate_filter_governed`] first — Houdini itself only checks
+/// *consecution*, with the base case discharged by the simulation pass
+/// evaluating the reset state).
+///
+/// Returns the proved subset, run statistics, and degradation events.
+///
+/// # Governance
+///
+/// SAT conflicts are charged to the global budget, each round
+/// pre-apportions the remaining global allowance across dirty shards, each
+/// query's per-solve budget is `min(config.conflict_budget, shard allowance
+/// left)`, and global exhaustion (budget, deadline, cancellation, or an
+/// armed solver fault) drops *all* still-alive candidates — recorded in the
+/// stats and as [`DegradationEvent`]s — instead of proving them. Dropping
+/// is sound (paper §VII-C): an unproved candidate is simply not rewired.
 ///
 /// # Soundness (lattice monotonicity)
 ///
@@ -705,10 +664,7 @@ pub fn houdini_prove_warm_governed(
         let vars = shard.solver.num_vars();
         let clauses = shard.solver.num_clauses();
         let (vars_pre, clauses_pre) = shard.pre_stats.unwrap_or((vars, clauses));
-        let (cone_f0_ands, cone_f1_ands) = match &shard.enc {
-            Some(enc) => (enc.cone_ands(0), enc.cone_ands(1)),
-            None => (aig.num_ands(), aig.num_ands()),
-        };
+        let (cone_f0_ands, cone_f1_ands) = (shard.enc.cone_ands(0), shard.enc.cone_ands(1));
         stats.shard_stats.push(ShardStats {
             shard: shard.index,
             candidates: shard.own.len(),
@@ -736,10 +692,9 @@ pub fn houdini_prove_warm_governed(
     (proved, stats, events)
 }
 
-/// Encode one shard: two-frame transition relation (full, or restricted to
-/// the shard's cones of influence under [`ProveConfig::coi`]), hypothesis
-/// literals for every resolvable candidate (lazy under COI), failure
-/// detectors + OR-tree for the owned slice.
+/// Encode one shard: the two-frame transition relation restricted to the
+/// shard's cones of influence, lazy hypothesis literals for every
+/// resolvable candidate, failure detectors + OR-tree for the owned slice.
 #[allow(clippy::too_many_arguments)]
 fn build_shard<'a>(
     index: usize,
@@ -757,85 +712,32 @@ fn build_shard<'a>(
     solver.set_governor(governor.clone());
     solver.set_clause_db_limit(prove.clause_db_limit);
     let own: Vec<usize> = own_slots.to_vec();
-    let mut frozen_extra: Vec<Var> = Vec::new();
 
-    let (hyp, enc, fail, ind1) = if prove.coi {
-        // Cone-of-influence path: encode only what this shard's queries
-        // reach — the environment constraint on both frames and the
-        // frame-1 cones of the owned candidates. Hypothesis cones are left
-        // to the first base build (`Shard::hyp_lit`).
-        let mut enc = ConeEncoder::new(aig, &mut solver);
-        let c0 = enc.lit(&mut solver, 0, constraint);
-        solver.add_clause(&[c0]);
-        let c1 = enc.lit(&mut solver, 1, constraint);
-        solver.add_clause(&[c1]);
-        let mut fail = Vec::with_capacity(own.len());
-        let mut ind1 = Vec::with_capacity(own.len());
-        for &slot in &own {
-            let c = &candidates[resolvable[slot]];
-            let holds = indicator1_cone(&mut solver, &mut enc, na, c);
-            let t = solver.new_selector();
-            // t_j → candidate j is violated at frame 1.
-            solver.add_guarded_clause(t, &[!holds]);
-            fail.push(t);
-            ind1.push(holds);
-        }
-        (vec![None; resolvable.len()], Some(enc), fail, ind1)
-    } else {
-        // Eager path: full two-frame encoding, frame 0 over a free state,
-        // frame 1 over its successors.
-        let enc = FrameEncoder::new(aig, &mut solver);
-        let state0 = enc.free_state(&mut solver);
-        frozen_extra.extend(state0.iter().map(|l| l.var()));
-        let f0 = enc.encode_frame(&mut solver, &state0);
-        let f1 = enc.encode_frame(&mut solver, &f0.next_state);
-        // Environment constraint holds on both frames.
-        solver.add_clause(&[f0.lit(constraint)]);
-        solver.add_clause(&[f1.lit(constraint)]);
-
-        // Frame-0 hypotheses. Constants need no encoding at all (the
-        // assumption *is* the frame literal); equalities get a selector
-        // with one implication direction — the selector is only ever
-        // assumed true.
-        let hyp: Vec<Option<Lit>> = resolvable
-            .iter()
-            .map(|&ci| {
-                let c = &candidates[ci];
-                let target = f0.lit(na.net_lit[&c.net]);
-                Some(match c.kind {
-                    CandidateKind::ConstFalse => !target,
-                    CandidateKind::ConstTrue => target,
-                    CandidateKind::EqualNet(other) => {
-                        let o = f0.lit(na.net_lit[&other]);
-                        let s = solver.new_selector();
-                        solver.add_guarded_clause(s, &[target, !o]);
-                        solver.add_guarded_clause(s, &[!target, o]);
-                        s
-                    }
-                })
-            })
-            .collect();
-
-        // Frame-1 failure detectors for the owned slice.
-        let mut fail = Vec::with_capacity(own.len());
-        let mut ind1 = Vec::with_capacity(own.len());
-        for &slot in &own {
-            let c = &candidates[resolvable[slot]];
-            let holds = indicator1(&mut solver, &f1, na, c);
-            let t = solver.new_selector();
-            // t_j → candidate j is violated at frame 1.
-            solver.add_guarded_clause(t, &[!holds]);
-            fail.push(t);
-            ind1.push(holds);
-        }
-        (hyp, None, fail, ind1)
-    };
+    // Encode only what this shard's queries reach — the environment
+    // constraint on both frames and the frame-1 cones of the owned
+    // candidates. Hypothesis cones are left to the first base build
+    // (`Shard::hyp_lit`).
+    let mut enc = ConeEncoder::new(aig, &mut solver);
+    let c0 = enc.lit(&mut solver, 0, constraint);
+    solver.add_clause(&[c0]);
+    let c1 = enc.lit(&mut solver, 1, constraint);
+    solver.add_clause(&[c1]);
+    let mut fail = Vec::with_capacity(own.len());
+    let mut ind1 = Vec::with_capacity(own.len());
+    for &slot in &own {
+        let c = &candidates[resolvable[slot]];
+        let holds = indicator1_cone(&mut solver, &mut enc, na, c);
+        let t = solver.new_selector();
+        // t_j → candidate j is violated at frame 1.
+        solver.add_guarded_clause(t, &[!holds]);
+        fail.push(t);
+        ind1.push(holds);
+    }
 
     // Everything assumed, asserted as drop units, or read from models must
     // survive preprocessing: fail selectors and the frame-1 indicators the
     // drop logic reads out of Sat models.
-    frozen_extra.extend(fail.iter().map(|l| l.var()));
-    frozen_extra.extend(ind1.iter().map(|l| l.var()));
+    let mut frozen_extra: Vec<Var> = fail.iter().chain(&ind1).map(|l| l.var()).collect();
 
     // Balanced OR-tree: root → (some fail selector true). One ternary
     // clause per node keeps propagation local regardless of shard size.
@@ -863,7 +765,7 @@ fn build_shard<'a>(
     Shard {
         index,
         solver,
-        hyp,
+        hyp: vec![None; resolvable.len()],
         enc,
         preprocessed: false,
         frozen_extra,
@@ -882,30 +784,11 @@ fn build_shard<'a>(
     }
 }
 
-/// Frame-1 "candidate holds" literal. Unlike the one-directional frame-0
+/// Frame-1 "candidate holds" literal, encoding the frame-1 cone of the
+/// candidate's nets on demand. Unlike the one-directional frame-0
 /// hypotheses this must be model-defined in both directions (a Sat model
 /// decides which candidates to drop by reading it), so equalities use the
 /// full biconditional.
-fn indicator1(solver: &mut Solver, frame: &Frame, na: &NetlistAig, c: &Candidate) -> Lit {
-    let target = frame.lit(na.net_lit[&c.net]);
-    match c.kind {
-        CandidateKind::ConstFalse => !target,
-        CandidateKind::ConstTrue => target,
-        CandidateKind::EqualNet(other) => {
-            let o = frame.lit(na.net_lit[&other]);
-            // t <-> (target == o)
-            let t = Lit::pos(solver.new_var());
-            solver.add_clause(&[!t, target, !o]);
-            solver.add_clause(&[!t, !target, o]);
-            solver.add_clause(&[t, target, o]);
-            solver.add_clause(&[t, !target, !o]);
-            t
-        }
-    }
-}
-
-/// [`indicator1`] for the cone-of-influence path: encodes the frame-1 cone
-/// of the candidate's nets on demand instead of reading a pre-built frame.
 fn indicator1_cone(
     solver: &mut Solver,
     enc: &mut ConeEncoder<'_>,
@@ -1050,7 +933,7 @@ fn run_shard_round_inner(
             break;
         }
         // Base assumptions: hypotheses of every globally-alive candidate
-        // in ascending order (encoding their cones on first use under COI).
+        // in ascending order (encoding their cones on first use).
         let mut assumptions: Vec<Lit> = Vec::with_capacity(alive.len() + 2);
         for (slot, &a) in alive.iter().enumerate() {
             if a {
@@ -1060,9 +943,7 @@ fn run_shard_round_inner(
         // First base build of the shard's lifetime: every hypothesis cone
         // the fixpoint can ever assume is now encoded, so this is the one
         // safe moment to preprocess the CNF.
-        if config.prove.preprocess {
-            shard.run_preprocess();
-        }
+        shard.run_preprocess();
         let base_len = assumptions.len();
         // ¬fail literals of this pass's drops, appended after the base.
         let mut pass_fails: Vec<Lit> = Vec::new();
@@ -1282,6 +1163,24 @@ mod tests {
     use pdat_aig::netlist_to_aig;
     use pdat_netlist::{CellKind, Netlist};
 
+    /// A cold, ungoverned run.
+    fn prove(
+        na: &NetlistAig,
+        cands: &[Candidate],
+        config: &HoudiniConfig,
+    ) -> (Vec<Candidate>, HoudiniStats) {
+        let (proved, stats, _) = houdini_prove_warm_governed(
+            &na.aig,
+            AigLit::TRUE,
+            na,
+            cands,
+            &[],
+            config,
+            &Governor::unlimited(),
+        );
+        (proved, stats)
+    }
+
     #[test]
     fn proves_self_holding_latch() {
         // A latch with D = Q, init 0: provably constant 0 by induction.
@@ -1295,8 +1194,7 @@ mod tests {
             net: q,
             kind: CandidateKind::ConstFalse,
         }];
-        let (proved, stats) =
-            houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &HoudiniConfig::default());
+        let (proved, stats) = prove(&na, &cands, &HoudiniConfig::default());
         assert_eq!(proved.len(), 1);
         assert_eq!(stats.dropped, 0);
         assert!(stats.iterations >= 1);
@@ -1322,8 +1220,7 @@ mod tests {
                 kind: CandidateKind::EqualNet(a),
             },
         ];
-        let (proved, _) =
-            houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &HoudiniConfig::default());
+        let (proved, _) = prove(&na, &cands, &HoudiniConfig::default());
         // y==a is combinationally true (proved); y==0 is not.
         assert_eq!(proved.len(), 1);
         assert!(matches!(proved[0].kind, CandidateKind::EqualNet(_)));
@@ -1352,8 +1249,7 @@ mod tests {
                 kind: CandidateKind::ConstFalse,
             },
         ];
-        let (proved, _) =
-            houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &HoudiniConfig::default());
+        let (proved, _) = prove(&na, &cands, &HoudiniConfig::default());
         assert_eq!(proved.len(), 2, "mutual induction proves both");
     }
 
@@ -1390,7 +1286,7 @@ mod tests {
                 },
                 ..HoudiniConfig::default()
             };
-            let (proved, stats) = houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &config);
+            let (proved, stats) = prove(&na, &cands, &config);
             assert_eq!(proved.len(), 2, "sharded mutual induction proves both");
             assert_eq!(stats.shard_stats.len(), 2);
         }
@@ -1411,10 +1307,8 @@ mod tests {
         nl.add_output("y", y2);
         let na = netlist_to_aig(&nl, &[]);
         let cands = candidates_for_netlist(&nl, &na);
-        let single = houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &HoudiniConfig::default());
-        let sharded = houdini_prove(
-            &na.aig,
-            AigLit::TRUE,
+        let single = prove(&na, &cands, &HoudiniConfig::default());
+        let sharded = prove(
             &na,
             &cands,
             &HoudiniConfig {
@@ -1462,8 +1356,7 @@ mod tests {
                 kind: CandidateKind::ConstFalse,
             },
         ];
-        let (proved, stats) =
-            houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &HoudiniConfig::default());
+        let (proved, stats) = prove(&na, &cands, &HoudiniConfig::default());
         assert!(
             proved.is_empty(),
             "mutually-exclusive failures must all be dropped, got {proved:?}"
@@ -1491,8 +1384,8 @@ mod tests {
             max_iterations: 8,
             prove: ProveConfig::default(),
         };
-        let (proved1, stats1) = houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &config);
-        let (proved2, stats2) = houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &config);
+        let (proved1, stats1) = prove(&na, &cands, &config);
+        let (proved2, stats2) = prove(&na, &cands, &config);
         assert_eq!(proved1, proved2, "budget drops must be deterministic");
         assert_eq!(stats1.dropped_candidates, stats2.dropped_candidates);
         assert_eq!(stats1.dropped_by_budget, stats1.dropped_candidates.len());
@@ -1532,11 +1425,12 @@ mod tests {
             conflict_budget: Some(0),
             ..Default::default()
         });
-        let (proved, stats, events) = houdini_prove_governed(
+        let (proved, stats, events) = houdini_prove_warm_governed(
             &na.aig,
             AigLit::TRUE,
             &na,
             &cands,
+            &[],
             &HoudiniConfig::default(),
             &g,
         );
@@ -1547,8 +1441,7 @@ mod tests {
         assert_eq!(events[0].cause, Cause::ConflictBudget);
         assert_eq!(events[0].dropped, 2);
         // The ungoverned run proves both — the degraded result is a subset.
-        let (full, _) =
-            houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &HoudiniConfig::default());
+        let (full, _) = prove(&na, &cands, &HoudiniConfig::default());
         assert_eq!(full.len(), 2);
     }
 
@@ -1582,7 +1475,15 @@ mod tests {
                     },
                     ..HoudiniConfig::default()
                 };
-                let _ = houdini_prove_governed(&na.aig, AigLit::TRUE, &na, &cands, &config, &g);
+                let _ = houdini_prove_warm_governed(
+                    &na.aig,
+                    AigLit::TRUE,
+                    &na,
+                    &cands,
+                    &[],
+                    &config,
+                    &g,
+                );
                 assert!(
                     g.conflicts_used() <= cap,
                     "shard_size={shard_size} cap={cap}: overdrew to {}",
@@ -1605,8 +1506,7 @@ mod tests {
         nl.add_output("y", y2);
         let na = netlist_to_aig(&nl, &[]);
         let cands = candidates_for_netlist(&nl, &na);
-        let (cold, _) =
-            houdini_prove(&na.aig, AigLit::TRUE, &na, &cands, &HoudiniConfig::default());
+        let (cold, _) = prove(&na, &cands, &HoudiniConfig::default());
         assert!(!cold.is_empty());
         // Warm sets of increasing size, including the full cold set.
         for take in [1, cold.len() / 2, cold.len()] {
@@ -1718,7 +1618,7 @@ mod tests {
         let cands = candidates_for_netlist(&nl, &na);
         // Honor the precondition: candidates must already hold on simulated
         // executions from reset (base case) before induction runs.
-        let survivors = crate::simulate_filter(
+        let (survivors, _, _) = crate::simulate_filter_governed(
             &na,
             AigLit::TRUE,
             &cands,
@@ -1732,10 +1632,9 @@ mod tests {
                 }
             },
             17,
+            &Governor::unlimited(),
         );
-        let (proved, _) = houdini_prove(
-            &na.aig,
-            AigLit::TRUE,
+        let (proved, _) = prove(
             &na,
             &survivors,
             &HoudiniConfig {

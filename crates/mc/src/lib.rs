@@ -8,9 +8,11 @@
 //! execution:
 //!
 //! 1. **Falsification** — bit-parallel constrained random simulation kills
-//!    most candidates cheaply ([`simulate_filter`]).
+//!    most candidates cheaply ([`simulate_filter_governed`]; the scalar
+//!    [`simulate_filter_reference`] is the oracle it is tested against).
 //! 2. **Proof** — a Houdini-style mutual-induction fixpoint over a
-//!    two-frame SAT encoding proves the survivors ([`houdini_prove`]):
+//!    two-frame SAT encoding proves the survivors
+//!    ([`houdini_prove_warm_governed`]):
 //!    assume all candidates at frame 0 (plus the environment constraint at
 //!    both frames), ask SAT for a violation of any candidate at frame 1,
 //!    drop everything falsified, repeat. When the query is UNSAT the
@@ -27,20 +29,46 @@ mod sim_filter;
 
 pub use candidates::{candidates_for_netlist, Candidate, CandidateId, CandidateKind};
 pub use houdini::{
-    houdini_prove, houdini_prove_governed, houdini_prove_warm_governed, HoudiniConfig,
-    HoudiniStats, ProveConfig, ShardStats,
+    houdini_prove_warm_governed, HoudiniConfig, HoudiniStats, ProveConfig, ShardStats,
 };
 pub use sim_filter::{
-    simulate_filter, simulate_filter_governed, simulate_filter_reference,
-    simulate_filter_with_stats, SimFilterConfig, SimFilterStats,
+    simulate_filter_governed, simulate_filter_reference, SimFilterConfig, SimFilterStats,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdat_aig::{netlist_to_aig, AigLit};
+    use pdat_aig::{Aig, NetlistAig};
+    use pdat_governor::Governor;
     use pdat_netlist::{CellKind, Netlist};
+    use rand::rngs::StdRng;
     use rand::Rng;
+
+    fn falsify(
+        na: &NetlistAig,
+        constraint: AigLit,
+        candidates: &[Candidate],
+        config: &SimFilterConfig,
+        stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
+        seed: u64,
+    ) -> Vec<Candidate> {
+        let gov = Governor::unlimited();
+        simulate_filter_governed(na, constraint, candidates, config, stimulus, seed, &gov).0
+    }
+
+    fn prove(
+        aig: &Aig,
+        constraint: AigLit,
+        na: &NetlistAig,
+        candidates: &[Candidate],
+        config: &HoudiniConfig,
+    ) -> (Vec<Candidate>, HoudiniStats) {
+        let gov = Governor::unlimited();
+        let (proved, stats, _) =
+            houdini_prove_warm_governed(aig, constraint, na, candidates, &[], config, &gov);
+        (proved, stats)
+    }
 
     /// A design with a genuinely constant gate: a latch that never leaves
     /// its reset value drives an AND with a free input.
@@ -63,7 +91,7 @@ mod tests {
         assert!(!cands.is_empty());
 
         // Unconstrained environment: constraint = TRUE.
-        let survivors = simulate_filter(
+        let survivors = falsify(
             &na,
             AigLit::TRUE,
             &cands,
@@ -80,7 +108,7 @@ mod tests {
         assert!(has(CandidateKind::ConstFalse, key), "key==0 survives sim");
         assert!(has(CandidateKind::ConstFalse, y), "y==0 survives sim");
 
-        let (proved, stats) = houdini_prove(
+        let (proved, stats) = prove(
             &na.aig,
             AigLit::TRUE,
             &na,
@@ -111,7 +139,7 @@ mod tests {
         nl.add_output("q", q);
         let na = netlist_to_aig(&nl, &[]);
         let cands = candidates_for_netlist(&nl, &na);
-        let survivors = simulate_filter(
+        let survivors = falsify(
             &na,
             AigLit::TRUE,
             &cands,
@@ -147,7 +175,7 @@ mod tests {
             .iter()
             .position(|&n| AigLit::of(n) == a_lit)
             .unwrap();
-        let survivors = simulate_filter(
+        let survivors = falsify(
             &na,
             constraint,
             &cands,
@@ -160,7 +188,7 @@ mod tests {
             },
             11,
         );
-        let (proved, _) = houdini_prove(
+        let (proved, _) = prove(
             &na.aig,
             constraint,
             &na,

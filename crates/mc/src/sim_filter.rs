@@ -416,8 +416,8 @@ fn execute_chunk(
 
 /// Run constrained random simulation and drop every candidate that is
 /// falsified in any lane of any cycle where the environment constraint held
-/// continuously since the block's last reset, returning survivors and
-/// run counters.
+/// continuously since the block's last reset, returning survivors,
+/// run counters, and the degradation events describing what was cut.
 ///
 /// `stimulus(rng, words)` must overwrite every word with one 64-lane
 /// stimulus word per AIG input, already respecting the environment's input
@@ -429,30 +429,10 @@ fn execute_chunk(
 /// Determinism: survivors and stats depend only on
 /// `(seed, config.cycles, config.lane_blocks, config.restart_threshold)`;
 /// `config.threads` never changes the result.
-pub fn simulate_filter_with_stats(
-    na: &NetlistAig,
-    constraint: AigLit,
-    candidates: &[Candidate],
-    config: &SimFilterConfig,
-    stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
-    seed: u64,
-) -> (Vec<Candidate>, SimFilterStats) {
-    let (survivors, stats, events) = simulate_filter_governed(
-        na,
-        constraint,
-        candidates,
-        config,
-        stimulus,
-        seed,
-        &Governor::unlimited(),
-    );
-    debug_assert!(events.is_empty(), "an unlimited governor cannot degrade");
-    (survivors, stats)
-}
-
-/// [`simulate_filter_with_stats`] under a shared [`Governor`]: honors the
-/// global cycle budget, deadline, cancellation, and any armed fault plan,
-/// and additionally returns the degradation events describing what was cut.
+///
+/// The shared [`Governor`]'s global cycle budget, deadline, cancellation,
+/// and any armed fault plan are honored; [`Governor::unlimited`] runs the
+/// engine to completion.
 ///
 /// Soundness under degradation: every chunk that stops before completing
 /// its full vetting (cycle-budget truncation, deadline, cancellation, or an
@@ -593,24 +573,12 @@ pub fn simulate_filter_governed(
     (survivors, stats, events)
 }
 
-/// [`simulate_filter_with_stats`] without the counters.
-pub fn simulate_filter(
-    na: &NetlistAig,
-    constraint: AigLit,
-    candidates: &[Candidate],
-    config: &SimFilterConfig,
-    stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
-    seed: u64,
-) -> Vec<Candidate> {
-    simulate_filter_with_stats(na, constraint, candidates, config, stimulus, seed).0
-}
-
 /// Reference implementation: single-threaded, uncompacted per-candidate
 /// scan over scalar simulators with the exact same chunk/RNG/restart
 /// semantics. Exists as (a) the oracle the wide engine is property-tested
 /// against and (b) a baseline the throughput benchmark measures speedup
-/// over. Must produce bit-identical survivors and stats to
-/// [`simulate_filter_with_stats`].
+/// over. Must produce bit-identical survivors and stats to an ungoverned
+/// [`simulate_filter_governed`] run.
 pub fn simulate_filter_reference(
     na: &NetlistAig,
     constraint: AigLit,
@@ -630,9 +598,7 @@ pub fn simulate_filter_reference(
             let kind = match c.kind {
                 CandidateKind::ConstFalse => KindLit::Const(false),
                 CandidateKind::ConstTrue => KindLit::Const(true),
-                CandidateKind::EqualNet(other) => {
-                    KindLit::Equal(na.net_lit.get(&other).copied()?)
-                }
+                CandidateKind::EqualNet(other) => KindLit::Equal(na.net_lit.get(&other).copied()?),
             };
             Some((target, kind))
         })
@@ -726,6 +692,28 @@ mod tests {
     use pdat_netlist::{CellKind, Netlist};
     use rand::Rng;
 
+    /// A run to completion under [`Governor::unlimited`].
+    fn ungoverned(
+        na: &NetlistAig,
+        constraint: AigLit,
+        candidates: &[Candidate],
+        config: &SimFilterConfig,
+        stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
+        seed: u64,
+    ) -> (Vec<Candidate>, SimFilterStats) {
+        let (survivors, stats, events) = simulate_filter_governed(
+            na,
+            constraint,
+            candidates,
+            config,
+            stimulus,
+            seed,
+            &Governor::unlimited(),
+        );
+        assert!(events.is_empty(), "an unlimited governor cannot degrade");
+        (survivors, stats)
+    }
+
     fn random_stimulus(r: &mut StdRng, words: &mut [u64]) {
         for w in words {
             *w = r.gen();
@@ -742,7 +730,7 @@ mod tests {
         nl.add_output("noisy", noisy);
         let conv = netlist_to_aig(&nl, &[]);
         let cands = crate::candidates_for_netlist(&nl, &conv);
-        let alive = simulate_filter(
+        let (alive, _) = ungoverned(
             &conv,
             AigLit::TRUE,
             &cands,
@@ -781,7 +769,7 @@ mod tests {
             net: y,
             kind: CandidateKind::ConstTrue,
         }];
-        let alive = simulate_filter(
+        let (alive, _) = ungoverned(
             &conv,
             constraint,
             &cands,
@@ -811,7 +799,7 @@ mod tests {
         // 9 blocks = 3 chunks, so 2 threads get uneven work and 7 threads
         // cap at the chunk count.
         for threads in [1, 2, 4, 7] {
-            let got = simulate_filter_with_stats(
+            let got = ungoverned(
                 &conv,
                 AigLit::TRUE,
                 &cands,
@@ -849,8 +837,7 @@ mod tests {
             threads: 4,
             restart_threshold: 8,
         };
-        let fast =
-            simulate_filter_with_stats(&conv, AigLit::TRUE, &cands, &config, &random_stimulus, 77);
+        let fast = ungoverned(&conv, AigLit::TRUE, &cands, &config, &random_stimulus, 77);
         let slow =
             simulate_filter_reference(&conv, AigLit::TRUE, &cands, &config, &random_stimulus, 77);
         assert_eq!(fast, slow);
@@ -876,7 +863,7 @@ mod tests {
             threads: 1,
             restart_threshold: 8,
         };
-        let (alive, stats) = simulate_filter_with_stats(
+        let (alive, stats) = ungoverned(
             &conv,
             constraint,
             &cands,
@@ -889,7 +876,7 @@ mod tests {
         assert_eq!(stats.restarts, 40, "every cycle should restart");
         assert_eq!(alive.len(), 1, "no evidence was collected, so no kill");
         // With the threshold disabled the same stimulus collects evidence.
-        let (_, stats0) = simulate_filter_with_stats(
+        let (_, stats0) = ungoverned(
             &conv,
             constraint,
             &cands,
@@ -929,7 +916,7 @@ mod tests {
             threads: 1,
             restart_threshold: 8,
         };
-        let (free, _) = simulate_filter_with_stats(
+        let (free, _) = ungoverned(
             &conv,
             AigLit::TRUE,
             &cands,
@@ -1002,7 +989,7 @@ mod tests {
             threads: 4,
             restart_threshold: 8,
         };
-        let (free, _) = simulate_filter_with_stats(
+        let (free, _) = ungoverned(
             &conv,
             AigLit::TRUE,
             &cands,

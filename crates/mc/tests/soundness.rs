@@ -7,9 +7,10 @@
 //! here would mean the pipeline could corrupt a core.
 
 use pdat_aig::{netlist_to_aig, AigLit};
+use pdat_governor::Governor;
 use pdat_mc::{
-    candidates_for_netlist, houdini_prove, simulate_filter, simulate_filter_reference,
-    simulate_filter_with_stats, Candidate, CandidateKind, HoudiniConfig, SimFilterConfig,
+    candidates_for_netlist, houdini_prove_warm_governed, simulate_filter_governed,
+    simulate_filter_reference, Candidate, CandidateKind, HoudiniConfig, SimFilterConfig,
 };
 use pdat_netlist::{CellKind, NetId, Netlist, Simulator};
 use proptest::prelude::*;
@@ -99,7 +100,7 @@ proptest! {
         nl.validate().unwrap();
         let na = netlist_to_aig(&nl, &[]);
         let cands = candidates_for_netlist(&nl, &na);
-        let survivors = simulate_filter(
+        let (survivors, _, _) = simulate_filter_governed(
             &na,
             AigLit::TRUE,
             &cands,
@@ -113,17 +114,20 @@ proptest! {
                 }
             },
             0xFEED,
+            &Governor::unlimited(),
         );
-        let (proved, _) = houdini_prove(
+        let (proved, _, _) = houdini_prove_warm_governed(
             &na.aig,
             AigLit::TRUE,
             &na,
             &survivors,
+            &[],
             &HoudiniConfig {
                 conflict_budget: Some(50_000),
                 max_iterations: 1_000,
                 ..Default::default()
             },
+            &Governor::unlimited(),
         );
         for cand in &proved {
             prop_assert!(
@@ -162,8 +166,11 @@ proptest! {
                 *w = rand::Rng::gen::<u64>(r);
             }
         };
-        let fast = simulate_filter_with_stats(&na, constraint, &cands, &config, &stimulus, seed);
+        let gov = Governor::unlimited();
+        let fast =
+            simulate_filter_governed(&na, constraint, &cands, &config, &stimulus, seed, &gov);
         let slow = simulate_filter_reference(&na, constraint, &cands, &config, &stimulus, seed);
+        prop_assert!(fast.2.is_empty(), "an unlimited governor cannot degrade");
         prop_assert_eq!(&fast.0, &slow.0, "survivor sets diverge");
         prop_assert_eq!(&fast.1, &slow.1, "stats diverge");
     }

@@ -108,11 +108,6 @@ impl<T> BoundedQueue<T> {
         s.items.drain(..).collect()
     }
 
-    /// Whether `close_and_drain` has run.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.lock().items.len()
@@ -155,7 +150,6 @@ mod tests {
         assert!(first.is_some());
         let leftover = q.close_and_drain();
         assert_eq!(leftover.len(), 1);
-        assert!(q.is_closed());
         assert_eq!(q.pop(), None);
         assert!(matches!(q.try_push_back(9), TryPush::Closed(9)));
         assert_eq!(q.push_front(9), Some(9));

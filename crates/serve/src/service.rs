@@ -34,7 +34,7 @@ use crate::queue::{BoundedQueue, TryPush};
 use crate::request::{
     OverloadReason, Reply, ServeRequest, SubmitError, Ticket,
 };
-use pdat::{run_pdat_cached_governed, PdatConfig, PdatError, ProofCache};
+use pdat::{run_pdat_batch, BatchRequest, PdatConfig, PdatError, ProofCache};
 use pdat_cache::{load_cache_or_quarantine, save_cache_with_faults, LoadOutcome};
 use pdat_governor::{Cause, FaultPlan, Governor, GovernorConfig};
 use pdat_netlist::Netlist;
@@ -490,21 +490,27 @@ fn run_attempt(shared: &Shared, job: &Job) -> AttemptOutcome {
         cycle_budget: cfg.request_cycle_budget,
         fault_plan: attempt_plan,
     });
-    let env = job.req.env.as_env();
-    let outcome = run_pdat_cached_governed(
+    let request = [BatchRequest {
+        env: job.req.env.as_env(),
+        extras: job.req.extras.clone(),
+    }];
+    let outcome = run_pdat_batch(
         &shared.netlist,
-        &env,
-        &job.req.extras,
+        &request,
         &cfg.pdat,
         &governor,
         &shared.cache,
-    );
+    )
+    .map(|slots| slots.into_iter().next());
     shared
         .service_governor
         .charge_conflicts(governor.conflicts_used());
     match outcome {
-        Err(e) => AttemptOutcome::Reply(Reply::Rejected(e)),
-        Ok(report) => {
+        Err(e) | Ok(Some(Err(e))) => AttemptOutcome::Reply(Reply::Rejected(e)),
+        // A batch fills one slot per request; an empty answer would be an
+        // internal fault, so it is retried like one.
+        Ok(None) => AttemptOutcome::Retry(Cause::WorkerPanic),
+        Ok(Some(Ok(report))) => {
             let first_degradation = report
                 .result
                 .as_ref()
@@ -609,8 +615,10 @@ fn spawn_worker(
     })
 }
 
-/// Own the worker pool: spawn it, join exiting workers, and respawn any
-/// that died to a caught panic (unless the service is shutting down).
+/// Own the worker pool: spawn it, join exiting workers, and respawn every
+/// one that died to a caught panic. During shutdown the replacement finds
+/// the closed queue drained and exits at once; respawning anyway keeps
+/// `workers_respawned` equal to the panics caught, whatever the timing.
 fn supervisor_loop(shared: &Arc<Shared>, workers: usize) {
     let (tx, rx) = mpsc::channel::<WorkerExit>();
     let mut handles: Vec<Option<thread::JoinHandle<()>>> = (0..workers)
@@ -627,9 +635,7 @@ fn supervisor_loop(shared: &Arc<Shared>, workers: usize) {
         if let Some(h) = handles[exit.idx].take() {
             let _ = h.join();
         }
-        let respawn =
-            matches!(exit.kind, WorkerExitKind::Panicked) && !shared.queue.is_closed();
-        if respawn {
+        if matches!(exit.kind, WorkerExitKind::Panicked) {
             shared
                 .counters
                 .workers_respawned

@@ -7,8 +7,7 @@
 
 pub use pdat::{
     canonical_env, load_cache, load_cache_or_quarantine, netlist_fingerprint, run_pdat,
-    run_pdat_batch, run_pdat_batch_governed, run_pdat_cached, run_pdat_cached_governed,
-    run_pdat_governed, run_pdat_with, rv_canonical_forms, rv_constraint, save_cache,
+    run_pdat_batch, run_pdat_cached, rv_canonical_forms, rv_constraint, save_cache,
     save_cache_with_faults, thumb_canonical_forms, thumb_constraint, BatchRequest, CacheEffect,
     Candidate, CandidateId, CandidateKind, CanonicalEnv, CanonicalForm, Cause, ConstraintMode,
     DegradationEvent, Environment, EnvMode, ExtraRestriction, FaultPlan, Governor, GovernorConfig,

@@ -60,38 +60,45 @@ fn conflict_budget_one_is_subset_on_keyed_design() {
     assert!(free.proved >= 1, "oracle run proves the key invariant");
     assert!(free.degradations.is_empty(), "oracle run is unbudgeted");
 
-    // The strict-shrinkage half of this test is a statement about solver
-    // difficulty, so it pins the eager, unpreprocessed encoding: with COI +
-    // CNF preprocessing (the default) the keyed-design queries finish on
-    // propagation alone and a 1-conflict budget no longer starves anything.
+    let free_set = proved_set(&free);
+
+    // One conflict per query: the prover's keyed-design queries may finish
+    // on propagation alone, so this half only checks the subset bound.
+    let one_cfg = PdatConfig {
+        conflict_budget: Some(1),
+        ..base_config()
+    };
+    let one = run_pdat(&nl, &Environment::Unconstrained, &one_cfg).expect("pdat run");
+    assert!(
+        proved_set(&one).is_subset(&free_set),
+        "budget starvation must not invent proofs"
+    );
+
+    // No conflicts at all, globally: the prover cannot run a single query,
+    // so the starved run proves strictly less.
     let starved_cfg = PdatConfig {
         conflict_budget: Some(1),
-        prove: ProveConfig {
-            coi: false,
-            preprocess: false,
-            ..Default::default()
-        },
+        global_conflict_budget: Some(0),
         ..base_config()
     };
     let starved =
         run_pdat(&nl, &Environment::Unconstrained, &starved_cfg).expect("pdat run");
-    let free_set = proved_set(&free);
     let starved_set = proved_set(&starved);
     assert!(
         starved_set.is_subset(&free_set),
         "budget starvation must not invent proofs"
     );
-    // One conflict per query cannot complete the mutual-induction proof of
-    // the key latch: the starved run proves strictly less.
     assert!(
         starved_set.len() < free_set.len(),
         "expected a strict subset: {} vs {}",
         starved_set.len(),
         free_set.len()
     );
-    // And the result is still a valid, behaviour-preserving netlist.
-    starved.netlist.validate().expect("degraded netlist valid");
-    assert!(starved.optimized.gate_count <= starved.baseline.gate_count + 2);
+    // And the results are still valid, behaviour-preserving netlists.
+    for res in [&one, &starved] {
+        res.netlist.validate().expect("degraded netlist valid");
+        assert!(res.optimized.gate_count <= res.baseline.gate_count + 2);
+    }
 }
 
 /// The COI + preprocessing prover keeps the starvation guarantee: for any

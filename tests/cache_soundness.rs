@@ -22,7 +22,7 @@ use pdat_repro::isa::RvSubset;
 use pdat_repro::netlist::{CellKind, NetId, Netlist};
 use pdat_repro::{
     run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect, ConstraintMode, Environment,
-    PdatConfig, ProofCache, SubsetReport,
+    Governor, PdatConfig, ProofCache, SubsetReport,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -167,7 +167,8 @@ proptest! {
             .iter()
             .map(|s| BatchRequest { env: port_env(s, &port), extras: Vec::new() })
             .collect();
-        let warm: Vec<SubsetReport> = run_pdat_batch(&nl, &requests, &config, &shared)
+        let warm: Vec<SubsetReport> =
+            run_pdat_batch(&nl, &requests, &config, &Governor::unlimited(), &shared)
             .expect("warm batch")
             .into_iter()
             .map(|r| r.expect("well-formed warm request"))

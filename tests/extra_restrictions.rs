@@ -1,12 +1,15 @@
 //! The paper's Fig. 3 versatility claims: environment restrictions beyond
 //! ISA subsets — pinned inputs (disabled IRQ lines, strapped config pins)
-//! and explicit code-at-address mappings (reset handlers, trap vectors).
+//! and explicit code-at-address mappings (reset handlers, trap vectors) —
+//! and the typed errors a malformed restriction gets instead of a panic.
 
 use pdat_repro::cores::build_ibex;
 use pdat_repro::isa::RvSubset;
-use pdat_repro::netlist::{CellKind, Netlist};
+use pdat_repro::netlist::{CellKind, NetId, Netlist};
 use pdat_repro::{
-    run_pdat, run_pdat_with, ConstraintMode, Environment, ExtraRestriction, PdatConfig,
+    run_pdat, run_pdat_batch, run_pdat_cached, BatchRequest, ConstraintMode, Environment,
+    ExtraRestriction, Governor, OwnedEnvironment, PdatConfig, PdatError, PdatResult,
+    PdatService, ProofCache, Reply, ServeConfig, ServeRequest,
 };
 
 fn fast_config() -> PdatConfig {
@@ -17,6 +20,18 @@ fn fast_config() -> PdatConfig {
         seed: 0xE17A,
         ..Default::default()
     }
+}
+
+/// [`run_pdat`] with extra restrictions: an uncached run through a fresh
+/// proof cache.
+fn run_with(
+    nl: &Netlist,
+    env: &Environment<'_>,
+    extras: &[ExtraRestriction],
+    config: &PdatConfig,
+) -> Result<PdatResult, PdatError> {
+    let report = run_pdat_cached(nl, env, extras, config, &ProofCache::new())?;
+    Ok(report.result.expect("a fresh cache solves every request"))
 }
 
 #[test]
@@ -40,7 +55,7 @@ fn pinned_input_enables_removal() {
     assert!(base.optimized.dff_count == 8);
 
     // With `mode` pinned low the whole unit is provably dead.
-    let res = run_pdat_with(
+    let res = run_with(
         &nl,
         &Environment::Unconstrained,
         &[ExtraRestriction::PinnedInput {
@@ -105,7 +120,7 @@ fn code_at_reset_address_is_respected() {
     assert!(base.optimized.dff_count >= 3, "boot latch must survive");
 
     // With the reset-address word pinned, `boot` is provably stuck at 0.
-    let res = run_pdat_with(
+    let res = run_with(
         &nl,
         &Environment::Unconstrained,
         &[ExtraRestriction::CodeAt {
@@ -130,7 +145,7 @@ fn combined_isa_and_pin_restrictions_on_ibex() {
     let core = build_ibex();
     let subset = RvSubset::rv32i();
     let pins = core.data_rdata_in[28..32].to_vec();
-    let res = run_pdat_with(
+    let res = run_with(
         &core.netlist,
         &Environment::Rv {
             subset: &subset,
@@ -158,4 +173,146 @@ fn combined_isa_and_pin_restrictions_on_ibex() {
         res.optimized.gate_count,
         plain.optimized.gate_count
     );
+}
+
+/// A small design with one input and one flop, for the malformed-input
+/// tests.
+fn tiny_core() -> (Netlist, NetId) {
+    let mut nl = Netlist::new("tiny");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let ab = nl.add_cell(CellKind::And2, &[a, b], "ab");
+    let q = nl.add_dff(ab, false, "q");
+    let o = nl.add_cell(CellKind::Or2, &[q, ab], "o");
+    nl.add_output("out", o);
+    (nl, a)
+}
+
+/// A net id past the end of `nl`'s net table.
+fn unknown_net(nl: &Netlist) -> NetId {
+    NetId(nl.num_nets() as u32 + 7)
+}
+
+#[test]
+fn extra_restriction_on_unknown_net_is_a_typed_error() {
+    let (nl, _) = tiny_core();
+    let bad = unknown_net(&nl);
+    let err = run_with(
+        &nl,
+        &Environment::Unconstrained,
+        &[ExtraRestriction::PinnedInput {
+            nets: vec![bad],
+            value: 1,
+        }],
+        &fast_config(),
+    )
+    .expect_err("an unknown pinned net must be rejected");
+    assert_eq!(err, PdatError::UnknownNet { net: bad });
+}
+
+#[test]
+fn code_at_with_33_address_nets_is_a_typed_error() {
+    let (nl, a) = tiny_core();
+    let err = run_with(
+        &nl,
+        &Environment::Unconstrained,
+        &[ExtraRestriction::CodeAt {
+            addr: vec![a; 33],
+            data: vec![a],
+            address: 0,
+            word: 0,
+        }],
+        &fast_config(),
+    )
+    .expect_err("a 33-bit address must be rejected");
+    assert_eq!(err, PdatError::RestrictionTooWide { nets: 33, bits: 32 });
+}
+
+#[test]
+fn out_of_range_port_net_is_a_typed_error() {
+    let (nl, a) = tiny_core();
+    let bad = unknown_net(&nl);
+    let subset = RvSubset::rv32i();
+    let mut port = vec![a; 32];
+    port[5] = bad;
+    let err = run_pdat(
+        &nl,
+        &Environment::Rv {
+            subset: &subset,
+            ports: vec![port],
+            mode: ConstraintMode::PortBased,
+        },
+        &fast_config(),
+    )
+    .expect_err("an out-of-range port net must be rejected");
+    assert_eq!(err, PdatError::UnknownNet { net: bad });
+}
+
+#[test]
+fn batch_isolates_a_request_with_an_unknown_extra_net() {
+    let (nl, _) = tiny_core();
+    let bad = unknown_net(&nl);
+    let request = |extras: Vec<ExtraRestriction>| BatchRequest {
+        env: Environment::Unconstrained,
+        extras,
+    };
+    let requests = [
+        request(Vec::new()),
+        request(vec![ExtraRestriction::PinnedInput {
+            nets: vec![bad],
+            value: 0,
+        }]),
+        request(Vec::new()),
+    ];
+    let cache = ProofCache::new();
+    let slots = run_pdat_batch(
+        &nl,
+        &requests,
+        &fast_config(),
+        &Governor::unlimited(),
+        &cache,
+    )
+    .expect("valid netlist");
+    assert_eq!(slots.len(), 3);
+    assert_eq!(
+        slots[1].as_ref().err(),
+        Some(&PdatError::UnknownNet { net: bad }),
+        "the malformed request fails in its own slot"
+    );
+    let good: Vec<_> = [&slots[0], &slots[2]]
+        .into_iter()
+        .map(|r| r.as_ref().expect("well-formed batch-mate survives"))
+        .collect();
+    assert_eq!(good[0].proved, good[1].proved);
+}
+
+#[test]
+fn service_rejects_an_unknown_extra_net_without_a_worker_panic() {
+    let (nl, _) = tiny_core();
+    let bad = unknown_net(&nl);
+    let service = PdatService::start(
+        nl,
+        ServeConfig {
+            workers: 1,
+            pdat: fast_config(),
+            ..Default::default()
+        },
+    )
+    .expect("valid netlist");
+    let ticket = service
+        .submit(ServeRequest {
+            env: OwnedEnvironment::Unconstrained,
+            extras: vec![ExtraRestriction::PinnedInput {
+                nets: vec![bad],
+                value: 0,
+            }],
+        })
+        .expect("admitted");
+    match ticket.wait() {
+        Reply::Rejected(e) => assert_eq!(e, PdatError::UnknownNet { net: bad }),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.worker_panics, 0, "a malformed request must not crash a worker");
+    assert_eq!(stats.retries, 0, "a malformed request is not retried");
 }

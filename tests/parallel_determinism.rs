@@ -10,12 +10,17 @@
 //! depend only on `(candidate order, shard_size)` — threads only decide
 //! which worker happens to run a shard — so the proved invariants and the
 //! per-shard solver counters must be bit-identical for any thread count.
+//! The proved list itself must equal a plain, unsharded Houdini's.
 
+mod common;
+
+use common::{falsify, plain_houdini, Prepared};
 use pdat_repro::cores::build_ibex;
 use pdat_repro::isa::RvSubset;
+use pdat_repro::mc::{houdini_prove_warm_governed, Candidate, HoudiniConfig};
 use pdat_repro::netlist::{CellKind, Netlist};
 use pdat_repro::{
-    run_pdat, ConstraintMode, Environment, PdatConfig, PdatResult, ProveConfig,
+    run_pdat, ConstraintMode, Environment, Governor, PdatConfig, PdatResult, ProveConfig,
 };
 
 fn config_with_threads(threads: usize) -> PdatConfig {
@@ -74,15 +79,6 @@ fn proved_set_is_identical_for_1_2_4_threads() {
 }
 
 fn prover_config(threads: usize, shard_size: usize) -> PdatConfig {
-    prover_config_enc(threads, shard_size, true, true)
-}
-
-fn prover_config_enc(
-    threads: usize,
-    shard_size: usize,
-    coi: bool,
-    preprocess: bool,
-) -> PdatConfig {
     PdatConfig {
         sim_cycles: 96,
         conflict_budget: Some(40_000),
@@ -91,8 +87,6 @@ fn prover_config_enc(
         prove: ProveConfig {
             threads,
             shard_size,
-            coi,
-            preprocess,
             ..Default::default()
         },
         ..Default::default()
@@ -174,68 +168,71 @@ fn keyed_design() -> Netlist {
     nl
 }
 
-/// The cone-of-influence shard encoding plus CNF preprocessing must prove
-/// the *bit-identical* set the eager full-encoding prover proves, at every
-/// thread count: the partial encoding is equisatisfiable with the full one
-/// for every query a shard issues, and the Houdini fixpoint is unique, so
-/// only the solver counters (different CNFs) may differ — never the
-/// proved invariants or the resulting netlist.
+/// The sharded prover — cone-of-influence encoding, CNF preprocessing,
+/// OR-tree detectors, cross-shard fixpoint — must prove the
+/// *bit-identical* list (values and order) that plain Houdini proves on
+/// the same simulation survivors, at every thread count, with no
+/// degradation: the partial encoding is equisatisfiable with the full one
+/// for every query a shard issues, and the Houdini fixpoint is unique.
+fn assert_prover_matches_plain_houdini(
+    p: &Prepared,
+    shard_size: usize,
+    label: &str,
+) -> Vec<Candidate> {
+    let oracle = plain_houdini(&p.na, p.constraint, &p.survivors);
+    assert!(!oracle.is_empty(), "{label}: fixture must prove something");
+    for threads in [1usize, 2, 4, 8] {
+        let config = HoudiniConfig {
+            conflict_budget: Some(40_000),
+            max_iterations: 1_000,
+            prove: ProveConfig {
+                threads,
+                shard_size,
+                ..Default::default()
+            },
+        };
+        let (proved, stats, events) = houdini_prove_warm_governed(
+            &p.na.aig,
+            p.constraint,
+            &p.na,
+            &p.survivors,
+            &[],
+            &config,
+            &Governor::unlimited(),
+        );
+        assert!(events.is_empty(), "{label} threads={threads}: degraded: {events:?}");
+        assert!(stats.shard_stats.len() > 1, "{label}: fixture must shard");
+        assert_eq!(
+            oracle, proved,
+            "{label} threads={threads}: prover diverged from plain Houdini"
+        );
+    }
+    oracle
+}
+
 #[test]
 fn coi_prover_matches_full_encoding_bit_identical_on_ibex() {
     let core = build_ibex();
     let subset = RvSubset::rv32i();
+    let config = prover_config(1, 1024);
+    let p = falsify(&core.netlist, Some((&subset, &core.cut_fetch)), &config);
+    let oracle = assert_prover_matches_plain_houdini(&p, 1024, "ibex");
+    // The rebuilt falsify stage is the pipeline's own: same survivors,
+    // same proved list.
     let env = Environment::Rv {
         subset: &subset,
         ports: vec![core.cut_fetch.clone()],
         mode: ConstraintMode::CutpointBased,
     };
-    let full =
-        run_pdat(&core.netlist, &env, &prover_config_enc(1, 1024, false, false)).expect("pdat run");
-    assert!(full.proved > 0, "fixture must prove something");
-    for threads in [1usize, 2, 4, 8] {
-        let coi = run_pdat(&core.netlist, &env, &prover_config_enc(threads, 1024, true, true))
-            .expect("pdat run");
-        assert_eq!(
-            full.proved_invariants, coi.proved_invariants,
-            "ibex threads={threads}: COI proved set diverged from full encoding"
-        );
-        assert_eq!(
-            full.optimized, coi.optimized,
-            "ibex threads={threads}: COI optimized netlist stats diverged"
-        );
-        // The reduced encoding must actually be smaller, or it isn't a
-        // cone-of-influence encoding at all.
-        let vars = |r: &PdatResult| -> usize {
-            r.houdini_stats.shard_stats.iter().map(|s| s.vars_pre).sum()
-        };
-        assert!(
-            vars(&coi) < vars(&full),
-            "ibex threads={threads}: COI encoding is not smaller ({} vs {})",
-            vars(&coi),
-            vars(&full)
-        );
-    }
+    let res = run_pdat(&core.netlist, &env, &config).expect("pdat run");
+    assert_eq!(res.sim_survivors, p.survivors.len(), "survivor count diverged");
+    assert_eq!(res.proved_invariants, oracle, "pipeline proved list diverged");
 }
 
 #[test]
 fn coi_prover_matches_full_encoding_bit_identical_on_keyed_design() {
-    let nl = keyed_design();
-    let full =
-        run_pdat(&nl, &Environment::Unconstrained, &prover_config_enc(1, 1, false, false))
-            .expect("pdat run");
-    assert!(full.proved >= 1, "keyed design proves the key invariant");
-    for threads in [1usize, 2, 4, 8] {
-        let coi = run_pdat(&nl, &Environment::Unconstrained, &prover_config_enc(threads, 1, true, true))
-            .expect("pdat run");
-        assert_eq!(
-            full.proved_invariants, coi.proved_invariants,
-            "keyed threads={threads}: COI proved set diverged from full encoding"
-        );
-        assert_eq!(
-            full.optimized, coi.optimized,
-            "keyed threads={threads}: COI optimized netlist stats diverged"
-        );
-    }
+    let p = falsify(&keyed_design(), None, &prover_config(1, 1));
+    assert_prover_matches_plain_houdini(&p, 1, "keyed");
 }
 
 #[test]
