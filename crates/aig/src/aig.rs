@@ -31,11 +31,6 @@ impl AigLit {
         self.0 & 1 == 1
     }
 
-    /// True if this is one of the two constant literals.
-    pub fn is_const(self) -> bool {
-        self.node().0 == 0
-    }
-
     /// Raw code (AIGER-style encoding).
     pub fn code(self) -> u32 {
         self.0

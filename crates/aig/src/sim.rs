@@ -198,12 +198,6 @@ impl<'a> AigSimulator<'a> {
         &self.state
     }
 
-    /// Overwrite latch state words (for trajectory replay in tests).
-    pub fn set_state(&mut self, state: &[u64]) {
-        assert_eq!(state.len(), self.state.len());
-        self.state.copy_from_slice(state);
-    }
-
     /// The simulated graph.
     pub fn aig(&self) -> &'a Aig {
         self.aig

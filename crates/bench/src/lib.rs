@@ -2,166 +2,13 @@
 //! the `table1`, `table2`, `fig5`, `fig6`, and `fig7` binaries (one per
 //! table/figure in the paper's evaluation) and the Criterion benches.
 
-use pdat::{
-    run_pdat, rv_constraint, ConstraintMode, Environment, InstrConstraint, PdatConfig, PdatResult,
-};
-use pdat_aig::{netlist_to_aig, AigLit, NetlistAig};
-use pdat_cores::{
-    build_cortexm0, build_ibex, build_ridecore, obfuscate, IbexCore, ObfuscateConfig,
-};
+use pdat::{run_pdat, ConstraintMode, Environment, PdatConfig, PdatResult};
+use pdat_cores::{build_cortexm0, build_ibex, build_ridecore, obfuscate, ObfuscateConfig};
 use pdat_isa::rv32::RvInstr;
 use pdat_isa::{RvSubset, ThumbSubset};
-use pdat_mc::{candidates_for_netlist, Candidate, HoudiniStats};
 use pdat_netlist::{NetId, Netlist};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Parsed command line of the JSON-emitting bench binaries
-/// (`[--smoke] [OUTPUT.json]` plus any binary-specific flags).
-#[derive(Debug, Clone)]
-pub struct BenchArgs {
-    /// Reduced workload for CI.
-    pub smoke: bool,
-    /// Where the JSON report goes.
-    pub out_path: String,
-    flags: Vec<String>,
-}
-
-impl BenchArgs {
-    /// Whether a binary-specific flag (from `extra_flags`) was passed.
-    pub fn has_flag(&self, flag: &str) -> bool {
-        self.flags.iter().any(|f| f == flag)
-    }
-}
-
-/// Parse the shared bench CLI: `--smoke`, an optional output path, and any
-/// `extra_flags` the binary accepts. Unknown flags print usage and exit 2.
-pub fn parse_bench_args(usage_name: &str, default_out: &str, extra_flags: &[&str]) -> BenchArgs {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(bad) = args
-        .iter()
-        .find(|a| a.starts_with("--") && *a != "--smoke" && !extra_flags.contains(&a.as_str()))
-    {
-        eprintln!("usage: {usage_name} [--smoke] [OUTPUT.json]");
-        eprintln!("unknown flag: {bad}");
-        std::process::exit(2);
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| default_out.to_string());
-    let flags = args.into_iter().filter(|a| a.starts_with("--")).collect();
-    BenchArgs {
-        smoke,
-        out_path,
-        flags,
-    }
-}
-
-/// The Ibex-class core under the RV32I cutpoint environment, lowered to
-/// the analysis AIG with the instruction constraint and the candidate set
-/// — the setup every falsify/prove bench binary used to rebuild by hand.
-pub struct IbexRvAnalysis {
-    /// The synthesized core (netlist + port metadata).
-    pub core: IbexCore,
-    /// The ISA subset the constraint encodes.
-    pub subset: RvSubset,
-    /// Analysis AIG with the fetch cutpoint as free inputs.
-    pub na: NetlistAig,
-    /// AIG literal of the environment constraint.
-    pub constraint: AigLit,
-    /// Stimulus driver for the constraint's instruction inputs.
-    pub instr: InstrConstraint,
-    /// Invariant candidates over the netlist.
-    pub candidates: Vec<Candidate>,
-}
-
-impl IbexRvAnalysis {
-    /// Constrained-random stimulus closure for the falsification engine:
-    /// free bits everywhere, then legal instruction words on the cutpoint.
-    pub fn stimulus(&self) -> impl Fn(&mut StdRng, &mut [u64]) + Sync + '_ {
-        move |rng: &mut StdRng, words: &mut [u64]| {
-            for w in words.iter_mut() {
-                *w = rng.gen();
-            }
-            self.instr.drive(rng, words);
-        }
-    }
-
-    /// Cutpoint-based pipeline environment over `subset` (for the
-    /// `run_pdat` family, which re-lowers internally).
-    pub fn env<'a>(&self, subset: &'a RvSubset) -> Environment<'a> {
-        Environment::Rv {
-            subset,
-            ports: vec![self.core.cut_fetch.clone()],
-            mode: ConstraintMode::CutpointBased,
-        }
-    }
-}
-
-/// Build the shared Ibex RV32I cutpoint analysis setup.
-pub fn ibex_rv32i_analysis() -> IbexRvAnalysis {
-    let core = build_ibex();
-    let subset = RvSubset::rv32i();
-    let mut na = netlist_to_aig(&core.netlist, &core.cut_fetch);
-    let lits: Vec<AigLit> = core.cut_fetch.iter().map(|n| na.input_lit[n]).collect();
-    let indices: Vec<usize> = lits
-        .iter()
-        .map(|l| {
-            na.aig
-                .inputs()
-                .iter()
-                .position(|&n| AigLit::of(n) == *l)
-                .expect("cutpoint is an analysis input")
-        })
-        .collect();
-    let (constraint, instr) = rv_constraint(&mut na.aig, &lits, indices, &subset);
-    let candidates = candidates_for_netlist(&core.netlist, &na);
-    IbexRvAnalysis {
-        core,
-        subset,
-        na,
-        constraint,
-        instr,
-        candidates,
-    }
-}
-
-/// Aggregate encode/preprocess/solve wall-time split of a prove run,
-/// summed over its shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProveTimeSplit {
-    /// Seconds spent building shard encodings.
-    pub encode_seconds: f64,
-    /// Seconds spent in CNF preprocessing.
-    pub preprocess_seconds: f64,
-    /// Seconds spent inside SAT queries.
-    pub solve_seconds: f64,
-}
-
-impl ProveTimeSplit {
-    /// Sum the per-shard timers of one prove run.
-    pub fn of(stats: &HoudiniStats) -> ProveTimeSplit {
-        let mut s = ProveTimeSplit::default();
-        for ss in &stats.shard_stats {
-            s.encode_seconds += ss.encode_seconds;
-            s.preprocess_seconds += ss.preprocess_seconds;
-            s.solve_seconds += ss.solve_seconds;
-        }
-        s
-    }
-
-    /// Accumulate another split into this one.
-    pub fn add(&mut self, other: &ProveTimeSplit) {
-        self.encode_seconds += other.encode_seconds;
-        self.preprocess_seconds += other.preprocess_seconds;
-        self.solve_seconds += other.solve_seconds;
-    }
-}
 
 /// One row of a figure: a named core variant with its metrics.
 #[derive(Debug, Clone)]

@@ -538,9 +538,6 @@ pub struct SubsetReport {
     pub proved: Vec<CandidateId>,
     /// Resynthesis and stage-count summary.
     pub summary: CachedSummary,
-    /// Wall time spent in falsification + proof for this request
-    /// (zero for exact hits).
-    pub prove_time: Duration,
     /// The full pipeline result when something was actually solved
     /// (`None` for exact hits — the cache answers without a netlist).
     pub result: Option<PdatResult>,
@@ -684,7 +681,6 @@ fn solve_cached(
                 cache: CacheEffect::ExactHit,
                 proved: run.proved.clone(),
                 summary: run.summary.clone(),
-                prove_time: Duration::ZERO,
                 result: None,
             });
         }
@@ -740,14 +736,12 @@ fn solve_cached(
             },
         );
     }
-    let prove_time = res.stage_times.0 + res.stage_times.1;
     Ok(SubsetReport {
         netlist_fingerprint: nfp,
         env_fingerprint: env_fp,
         cache: effect,
         proved,
         summary,
-        prove_time,
         result: Some(res),
     })
 }
@@ -985,7 +979,6 @@ mod tests {
             .expect("valid netlist");
         assert_eq!(r2.cache, CacheEffect::ExactHit);
         assert!(r2.result.is_none(), "exact hit solves nothing");
-        assert_eq!(r2.prove_time, Duration::ZERO);
         assert_eq!(r1.proved, r2.proved, "identical answer from cache");
         assert_eq!(r1.summary, r2.summary);
 

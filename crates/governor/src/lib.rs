@@ -232,7 +232,6 @@ struct Inner {
     cycle_cap: Option<u64>,
     conflicts: AtomicU64,
     cycles: AtomicU64,
-    preprocess_steps: AtomicU64,
     cancelled: AtomicBool,
     fault: FaultPlan,
 }
@@ -273,7 +272,6 @@ impl Governor {
                 cycle_cap: config.cycle_budget,
                 conflicts: AtomicU64::new(0),
                 cycles: AtomicU64::new(0),
-                preprocess_steps: AtomicU64::new(0),
                 cancelled: AtomicBool::new(false),
                 fault: config.fault_plan.clone(),
             }),
@@ -336,26 +334,6 @@ impl Governor {
     /// Charge `n` simulated block-cycles to the global budget.
     pub fn charge_cycles(&self, n: u64) {
         self.inner.cycles.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Account `n` units of CNF-preprocessing work (one unit ≈ one
-    /// subsumption candidate check or one resolvent construction).
-    ///
-    /// Deliberately a *separate* counter from the conflict budget:
-    /// preprocessing is optional work whose cost must never eat into the
-    /// pre-apportioned per-shard conflict allowances (which is what keeps
-    /// "governed runs never overdraw" exact). The preprocessor still
-    /// honours deadlines and cancellation by polling
-    /// [`Governor::is_cancelled`] / [`Governor::deadline_exceeded`].
-    pub fn charge_preprocess_steps(&self, n: u64) {
-        if n > 0 {
-            self.inner.preprocess_steps.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// CNF-preprocessing work units charged so far.
-    pub fn preprocess_steps_used(&self) -> u64 {
-        self.inner.preprocess_steps.load(Ordering::Relaxed)
     }
 
     /// SAT conflicts charged so far.

@@ -142,25 +142,11 @@ pub struct ShardStats {
     pub solves: usize,
     /// SAT conflicts spent by this shard's solver.
     pub conflicts: u64,
-    /// Propagations performed by this shard's solver.
-    pub propagations: u64,
-    /// Variables in this shard's encoding.
-    pub vars: usize,
-    /// Problem clauses in this shard's encoding.
-    pub clauses: usize,
-    /// Variables before preprocessing (equals `vars` when preprocessing
-    /// never ran).
-    pub vars_pre: usize,
-    /// Problem clauses before preprocessing.
+    /// Problem clauses before preprocessing (equals `clauses_post` when
+    /// preprocessing never ran).
     pub clauses_pre: usize,
-    /// Live variables after preprocessing (allocated minus eliminated).
-    pub vars_post: usize,
-    /// Live problem clauses after preprocessing.
+    /// Live problem clauses at the end of the run.
     pub clauses_post: usize,
-    /// AND gates Tseitin-encoded in frame 0 (the shard's cone of influence).
-    pub cone_f0_ands: usize,
-    /// AND gates Tseitin-encoded in frame 1.
-    pub cone_f1_ands: usize,
     /// Wall-clock seconds spent building the shard's frame encoding.
     pub encode_seconds: f64,
     /// Wall-clock seconds spent inside SAT queries.
@@ -219,8 +205,8 @@ struct Shard<'a> {
     /// literals: fail selectors, OR-tree selectors + root, and frame-1
     /// indicator vars (models are read through them).
     frozen_extra: Vec<Var>,
-    /// Snapshot of (vars, clauses) taken just before preprocessing.
-    pre_stats: Option<(usize, usize)>,
+    /// Problem-clause count taken just before preprocessing.
+    clauses_pre: Option<usize>,
     preprocess_seconds: f64,
     /// Owned slots (ascending).
     own: Vec<usize>,
@@ -303,7 +289,7 @@ impl<'a> Shard<'a> {
             return;
         }
         self.preprocessed = true;
-        self.pre_stats = Some((self.solver.num_vars(), self.solver.num_clauses()));
+        self.clauses_pre = Some(self.solver.num_clauses());
         let mut frozen: Vec<Var> = Vec::new();
         frozen.extend(self.hyp.iter().flatten().map(|l| l.var()));
         frozen.extend(self.frozen_extra.iter().copied());
@@ -661,25 +647,15 @@ pub fn houdini_prove_warm_governed(
     for shard in &shards {
         stats.iterations += shard.solves;
         stats.conflicts += shard.solver.num_conflicts();
-        let vars = shard.solver.num_vars();
-        let clauses = shard.solver.num_clauses();
-        let (vars_pre, clauses_pre) = shard.pre_stats.unwrap_or((vars, clauses));
-        let (cone_f0_ands, cone_f1_ands) = (shard.enc.cone_ands(0), shard.enc.cone_ands(1));
+        let clauses_post = shard.solver.num_clauses();
         stats.shard_stats.push(ShardStats {
             shard: shard.index,
             candidates: shard.own.len(),
             proved: shard.alive_count(),
             solves: shard.solves,
             conflicts: shard.solver.num_conflicts(),
-            propagations: shard.solver.num_propagations(),
-            vars,
-            clauses,
-            vars_pre,
-            clauses_pre,
-            vars_post: vars - shard.solver.num_eliminated_vars(),
-            clauses_post: clauses,
-            cone_f0_ands,
-            cone_f1_ands,
+            clauses_pre: shard.clauses_pre.unwrap_or(clauses_post),
+            clauses_post,
             encode_seconds: shard.encode_seconds,
             solve_seconds: shard.solve_seconds,
             preprocess_seconds: shard.preprocess_seconds,
@@ -769,7 +745,7 @@ fn build_shard<'a>(
         enc,
         preprocessed: false,
         frozen_extra,
-        pre_stats: None,
+        clauses_pre: None,
         preprocess_seconds: 0.0,
         own,
         fail,
@@ -917,239 +893,207 @@ fn run_shard_round_inner(
         }};
     }
 
-    // Two-level loop. The *base* hypothesis block is placed once per pass
-    // and reused as a trail prefix across every enumeration solve in that
-    // pass; in-pass drops stay as appended `¬fail` assumptions instead of
-    // unit clauses (a unit would reset the trail and force re-placing tens
-    // of thousands of hypothesis assumptions per model). Dropping against
-    // the stale base is sound — a model satisfying *more* hypotheses also
-    // satisfies the alive subset, so anything it violates at frame 1 has a
-    // genuine counterexample — but an Unsat verdict only counts as
-    // "verified" when the pass dropped nothing: otherwise the drops are
-    // committed as units (one trail reset) and the pass repeats against
-    // the shrunken base.
-    'pass: loop {
+    // One solve per pass. A pass assumes the frame-0 hypotheses of every
+    // alive candidate (the global snapshot minus this shard's drops so
+    // far) and the OR-tree root, which asks for a frame-1 violation of
+    // some owned candidate whose fail selector is still enabled. Unsat
+    // verifies the owned slice. A model drops every owned candidate it
+    // falsifies, and a per-query budget cut drops the upper half of the
+    // alive slice. Each drop is committed at once as the unit clause
+    // `¬fail`, and the next pass solves against the shrunken hypothesis
+    // set: retracting a dropped hypothesis is what exposes *chained*
+    // failures (a candidate whose counterexample needs a state violating
+    // a dropped hypothesis), so mass drops compound layer by layer.
+    loop {
         if shard.alive_count() == 0 {
             break;
         }
-        // Base assumptions: hypotheses of every globally-alive candidate
-        // in ascending order (encoding their cones on first use).
-        let mut assumptions: Vec<Lit> = Vec::with_capacity(alive.len() + 2);
+        // Hypotheses of every alive candidate in ascending order
+        // (encoding their cones on first use).
+        let mut assumptions: Vec<Lit> = Vec::with_capacity(alive.len() + 1);
         for (slot, &a) in alive.iter().enumerate() {
             if a {
                 assumptions.push(shard.hyp_lit(slot, na, candidates, resolvable));
             }
         }
-        // First base build of the shard's lifetime: every hypothesis cone
-        // the fixpoint can ever assume is now encoded, so this is the one
-        // safe moment to preprocess the CNF.
+        // First pass of the shard's lifetime: every hypothesis cone the
+        // fixpoint can ever assume is now encoded, so this is the one safe
+        // moment to preprocess the CNF.
         shard.run_preprocess();
-        let base_len = assumptions.len();
-        // ¬fail literals of this pass's drops, appended after the base.
-        let mut pass_fails: Vec<Lit> = Vec::new();
-        loop {
-            if shard.solves >= config.max_iterations {
-                drop_all_own!(
-                    Cause::IterationCap,
-                    format!(
-                        "shard {}: gave up after {} iterations",
-                        shard.index, config.max_iterations
-                    )
-                );
-                break 'pass;
-            }
-            // Time-driven cuts (not thread-deterministic, but sound).
-            if governor.is_cancelled() {
-                drop_all_own!(Cause::Cancelled, format!("shard {}: cancelled", shard.index));
-                break 'pass;
-            }
-            if governor.deadline_exceeded() {
-                drop_all_own!(
-                    Cause::Deadline,
-                    format!("shard {}: deadline passed", shard.index)
-                );
-                break 'pass;
-            }
-            // Apportion the per-query budget from the shard's own
-            // allowance so one runaway query cannot overdraw the shared
-            // pool.
-            let per_solve = match (config.conflict_budget, allowance_left) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (Some(a), None) => Some(a),
-                (None, b) => b,
-            };
-            debug_assert!(
-                per_solve.is_none()
-                    || allowance_left.is_none()
-                    || per_solve.unwrap() <= allowance_left.unwrap(),
-                "per-solve budget exceeds the shard's remaining allowance"
+        if shard.solves >= config.max_iterations {
+            drop_all_own!(
+                Cause::IterationCap,
+                format!(
+                    "shard {}: gave up after {} iterations",
+                    shard.index, config.max_iterations
+                )
             );
-            shard.solver.set_conflict_budget(per_solve);
-            assumptions.truncate(base_len);
-            assumptions.extend_from_slice(&pass_fails);
-            assumptions.push(shard.root);
-            // Pack each model: decide the alive fail selectors first (phase
-            // true), so one counterexample violates as many owned
-            // candidates as the transition relation admits instead of the
-            // first one the search trips over. Selectors that cannot be
-            // violated under the current hypotheses just get flipped back
-            // by conflict analysis.
-            let prio: Vec<Lit> = (0..shard.own.len())
-                .filter(|&k| shard.own_alive[k])
-                .map(|k| shard.fail[k])
-                .collect();
-            shard.solver.prioritize(&prio);
-            let t0 = Instant::now();
-            let verdict = shard.solver.solve_with(&assumptions);
-            shard.solve_seconds += t0.elapsed().as_secs_f64();
-            shard.solves += 1;
-            if let Some(left) = &mut allowance_left {
-                *left = left.saturating_sub(shard.solver.conflicts_last_solve());
+            break;
+        }
+        // Time-driven cuts (not thread-deterministic, but sound).
+        if governor.is_cancelled() {
+            drop_all_own!(
+                Cause::Cancelled,
+                format!("shard {}: cancelled", shard.index)
+            );
+            break;
+        }
+        if governor.deadline_exceeded() {
+            drop_all_own!(
+                Cause::Deadline,
+                format!("shard {}: deadline passed", shard.index)
+            );
+            break;
+        }
+        // Apportion the per-query budget from the shard's own allowance so
+        // one runaway query cannot overdraw the shared pool.
+        let per_solve = match (config.conflict_budget, allowance_left) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (Some(a), None) => Some(a),
+            (None, b) => b,
+        };
+        debug_assert!(
+            per_solve.is_none()
+                || allowance_left.is_none()
+                || per_solve.unwrap() <= allowance_left.unwrap(),
+            "per-solve budget exceeds the shard's remaining allowance"
+        );
+        shard.solver.set_conflict_budget(per_solve);
+        assumptions.push(shard.root);
+        // Pack each model: decide the alive fail selectors first (phase
+        // true), so one counterexample violates as many owned candidates as
+        // the transition relation admits instead of the first one the
+        // search trips over. Selectors that cannot be violated under the
+        // current hypotheses just get flipped back by conflict analysis.
+        let prio: Vec<Lit> = (0..shard.own.len())
+            .filter(|&k| shard.own_alive[k])
+            .map(|k| shard.fail[k])
+            .collect();
+        shard.solver.prioritize(&prio);
+        let t0 = Instant::now();
+        let verdict = shard.solver.solve_with(&assumptions);
+        shard.solve_seconds += t0.elapsed().as_secs_f64();
+        shard.solves += 1;
+        if let Some(left) = &mut allowance_left {
+            *left = left.saturating_sub(shard.solver.conflicts_last_solve());
+        }
+        match verdict {
+            SolveResult::Unsat => {
+                // Inductive relative to the current global set: the owned
+                // slice stands (subject to other shards' rounds).
+                break;
             }
-            match verdict {
-                SolveResult::Unsat => {
-                    if pass_fails.is_empty() {
-                        // Inductive relative to the current global set: the
-                        // owned slice stands (subject to other shards'
-                        // rounds).
-                        break 'pass;
+            SolveResult::Sat => {
+                // Drop every owned candidate falsified at frame 1; the
+                // OR-tree (dropped selectors are fixed off by their units)
+                // guarantees the model violates at least one alive one.
+                let mut units: Vec<Lit> = Vec::new();
+                for k in 0..shard.own.len() {
+                    if !shard.own_alive[k] {
+                        continue;
                     }
-                    // Unsat against the stale (superset) base proves
-                    // nothing about the reduced set: commit the drops as
-                    // unit clauses and re-check.
-                    for f in pass_fails.drain(..) {
-                        shard.solver.add_clause(&[f]);
-                    }
-                    continue 'pass;
-                }
-                SolveResult::Sat => {
-                    // Drop every owned candidate falsified at frame 1; the
-                    // OR-tree (with dropped selectors assumed off)
-                    // guarantees the model violates at least one alive one.
-                    let mut dropped_now = 0usize;
-                    for k in 0..shard.own.len() {
-                        if !shard.own_alive[k] {
-                            continue;
-                        }
-                        let l = shard.ind1[k];
-                        if shard.solver.value(l.var()) != Some(l.is_pos()) {
-                            shard.own_alive[k] = false;
-                            alive[shard.own[k]] = false;
-                            out.dropped_cex.push(shard.own[k]);
-                            pass_fails.push(!shard.fail[k]);
-                            dropped_now += 1;
-                        }
-                    }
-                    if dropped_now > 0 {
-                        // Counterexample enumeration wants *diverse*
-                        // models — phase saving would re-find
-                        // near-identical states and shed one candidate at
-                        // a time. Reseed phases deterministically per
-                        // (shard, solve) so the next model falsifies a
-                        // fresh swath.
-                        let seed = ((shard.index as u64) << 32) ^ shard.solves as u64;
-                        shard.solver.scramble_phases(seed);
-                        // Commit after every counterexample: retracting
-                        // the dropped hypotheses immediately is what
-                        // exposes *chained* failures (a candidate whose
-                        // counterexample needs a state violating a dropped
-                        // hypothesis stays hidden under a stale base), and
-                        // mass drops compound layer by layer. The stale
-                        // base is only kept across solves that drop
-                        // nothing — i.e. never; the pass structure earns
-                        // its keep on the budget-halving path and keeps
-                        // every drop sound if a commit is ever deferred.
-                        for f in pass_fails.drain(..) {
-                            shard.solver.add_clause(&[f]);
-                        }
-                        continue 'pass;
-                    } else {
-                        // Defensive: a model must falsify something; if
-                        // not, stop rather than loop forever.
-                        let solves = shard.solves;
-                        drop_all_own!(
-                            Cause::IterationCap,
-                            format!(
-                                "shard {}: iteration {solves}: model without progress",
-                                shard.index
-                            )
-                        );
-                        break 'pass;
-                    }
-                }
-                SolveResult::Unknown => {
-                    if governor.is_cancelled() {
-                        drop_all_own!(
-                            Cause::Cancelled,
-                            format!("shard {}: query cancelled", shard.index)
-                        );
-                        break 'pass;
-                    }
-                    if governor.deadline_exceeded() {
-                        drop_all_own!(
-                            Cause::Deadline,
-                            format!("shard {}: deadline during query", shard.index)
-                        );
-                        break 'pass;
-                    }
-                    if governor.fault_plan().solver_unknown_after_conflicts.is_some()
-                        && governor.solver_should_stop()
-                    {
-                        // An armed fault is simulating solver exhaustion;
-                        // it would fire on every retry, so stop here.
-                        let solves = shard.solves;
-                        drop_all_own!(
-                            Cause::ConflictBudget,
-                            format!(
-                                "shard {}: iteration {solves}: injected solver exhaustion",
-                                shard.index
-                            )
-                        );
-                        break 'pass;
-                    }
-                    if allowance_left == Some(0) {
-                        // The shard's share of the global pool is spent; no
-                        // retry is possible. Local state only —
-                        // deterministic.
-                        let solves = shard.solves;
-                        drop_all_own!(
-                            Cause::ConflictBudget,
-                            format!(
-                                "shard {}: iteration {solves}: conflict allowance exhausted",
-                                shard.index
-                            )
-                        );
-                        break 'pass;
-                    }
-                    // Per-query budget exhausted: deterministically drop
-                    // the upper half of the owned alive slice (highest
-                    // candidate indices) and retry on the cheaper
-                    // remainder.
-                    let alive_idx: Vec<usize> =
-                        (0..shard.own.len()).filter(|&k| shard.own_alive[k]).collect();
-                    let keep = alive_idx.len() / 2;
-                    for &k in &alive_idx[keep..] {
+                    let l = shard.ind1[k];
+                    if shard.solver.value(l.var()) != Some(l.is_pos()) {
                         shard.own_alive[k] = false;
                         alive[shard.own[k]] = false;
-                        out.dropped_budget.push(shard.own[k]);
-                        pass_fails.push(!shard.fail[k]);
+                        out.dropped_cex.push(shard.own[k]);
+                        units.push(!shard.fail[k]);
                     }
-                    out.events.push(DegradationEvent {
-                        stage: Stage::Prove,
-                        cause: Cause::ConflictBudget,
-                        dropped: alive_idx.len() - keep,
-                        detail: format!(
-                            "shard {}: iteration {}: per-query budget exhausted, dropped upper half",
-                            shard.index, shard.solves
-                        ),
-                    });
-                    // The halved set changes the base; commit and restart
-                    // the pass.
-                    for f in pass_fails.drain(..) {
-                        shard.solver.add_clause(&[f]);
-                    }
-                    continue 'pass;
                 }
+                if units.is_empty() {
+                    // Defensive: a model must falsify something; if not,
+                    // stop rather than loop forever.
+                    let solves = shard.solves;
+                    drop_all_own!(
+                        Cause::IterationCap,
+                        format!(
+                            "shard {}: iteration {solves}: model without progress",
+                            shard.index
+                        )
+                    );
+                    break;
+                }
+                // Counterexample enumeration wants *diverse* models — phase
+                // saving would re-find near-identical states and shed one
+                // candidate at a time. Reseed phases deterministically per
+                // (shard, solve) so the next model falsifies a fresh swath.
+                // The units come after the reseed: the first one unwinds
+                // the model's trail, whose saved phases overwrite part of
+                // the scramble.
+                let seed = ((shard.index as u64) << 32) ^ shard.solves as u64;
+                shard.solver.scramble_phases(seed);
+                for f in units {
+                    shard.solver.add_clause(&[f]);
+                }
+            }
+            SolveResult::Unknown => {
+                if governor.is_cancelled() {
+                    drop_all_own!(
+                        Cause::Cancelled,
+                        format!("shard {}: query cancelled", shard.index)
+                    );
+                    break;
+                }
+                if governor.deadline_exceeded() {
+                    drop_all_own!(
+                        Cause::Deadline,
+                        format!("shard {}: deadline during query", shard.index)
+                    );
+                    break;
+                }
+                if governor
+                    .fault_plan()
+                    .solver_unknown_after_conflicts
+                    .is_some()
+                    && governor.solver_should_stop()
+                {
+                    // An armed fault is simulating solver exhaustion; it
+                    // would fire on every retry, so stop here.
+                    let solves = shard.solves;
+                    drop_all_own!(
+                        Cause::ConflictBudget,
+                        format!(
+                            "shard {}: iteration {solves}: injected solver exhaustion",
+                            shard.index
+                        )
+                    );
+                    break;
+                }
+                if allowance_left == Some(0) {
+                    // The shard's share of the global pool is spent; no
+                    // retry is possible. Local state only — deterministic.
+                    let solves = shard.solves;
+                    drop_all_own!(
+                        Cause::ConflictBudget,
+                        format!(
+                            "shard {}: iteration {solves}: conflict allowance exhausted",
+                            shard.index
+                        )
+                    );
+                    break;
+                }
+                // Per-query budget exhausted: deterministically drop the
+                // upper half of the owned alive slice (highest candidate
+                // indices) and retry on the cheaper remainder.
+                let alive_idx: Vec<usize> = (0..shard.own.len())
+                    .filter(|&k| shard.own_alive[k])
+                    .collect();
+                let keep = alive_idx.len() / 2;
+                for &k in &alive_idx[keep..] {
+                    shard.own_alive[k] = false;
+                    alive[shard.own[k]] = false;
+                    out.dropped_budget.push(shard.own[k]);
+                    shard.solver.add_clause(&[!shard.fail[k]]);
+                }
+                out.events.push(DegradationEvent {
+                    stage: Stage::Prove,
+                    cause: Cause::ConflictBudget,
+                    dropped: alive_idx.len() - keep,
+                    detail: format!(
+                        "shard {}: iteration {}: per-query budget exhausted, dropped upper half",
+                        shard.index, shard.solves
+                    ),
+                });
             }
         }
     }
@@ -1508,21 +1452,36 @@ mod tests {
         let cands = candidates_for_netlist(&nl, &na);
         let (cold, _) = prove(&na, &cands, &HoudiniConfig::default());
         assert!(!cold.is_empty());
-        // Warm sets of increasing size, including the full cold set.
-        for take in [1, cold.len() / 2, cold.len()] {
-            let warm: Vec<CandidateId> = cold[..take].iter().map(|c| c.canonical_id()).collect();
-            let (hot, stats, events) = houdini_prove_warm_governed(
-                &na.aig,
-                AigLit::TRUE,
-                &na,
-                &cands,
-                &warm,
-                &HoudiniConfig::default(),
-                &Governor::unlimited(),
-            );
-            assert!(events.is_empty());
-            assert_eq!(cold, hot, "warm start (|W|={take}) changed the fixpoint");
-            assert_eq!(stats.warm_assumed, take);
+        // One shard, and one candidate per shard on two threads.
+        let sharded = HoudiniConfig {
+            prove: ProveConfig {
+                threads: 2,
+                shard_size: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for config in [HoudiniConfig::default(), sharded] {
+            // Warm sets of increasing size, including the full cold set.
+            for take in [1, cold.len() / 2, cold.len()] {
+                let warm: Vec<CandidateId> =
+                    cold[..take].iter().map(|c| c.canonical_id()).collect();
+                let (hot, stats, events) = houdini_prove_warm_governed(
+                    &na.aig,
+                    AigLit::TRUE,
+                    &na,
+                    &cands,
+                    &warm,
+                    &config,
+                    &Governor::unlimited(),
+                );
+                assert!(events.is_empty());
+                assert_eq!(cold, hot, "warm start (|W|={take}) changed the fixpoint");
+                assert_eq!(stats.warm_assumed, take);
+                if config.prove.shard_size == 1 {
+                    assert_eq!(stats.shard_stats.len(), cands.len() - take);
+                }
+            }
         }
     }
 

@@ -91,16 +91,6 @@ pub struct SimFilterStats {
 }
 
 impl SimFilterStats {
-    /// Kills per thousand simulated cycles — the headline falsification
-    /// throughput figure.
-    pub fn kills_per_kilocycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.kills as f64 * 1000.0 / self.cycles as f64
-        }
-    }
-
     fn absorb(&mut self, other: &SimFilterStats) {
         self.candidate_cycles += other.candidate_cycles;
         self.kills += other.kills;
@@ -575,10 +565,9 @@ pub fn simulate_filter_governed(
 
 /// Reference implementation: single-threaded, uncompacted per-candidate
 /// scan over scalar simulators with the exact same chunk/RNG/restart
-/// semantics. Exists as (a) the oracle the wide engine is property-tested
-/// against and (b) a baseline the throughput benchmark measures speedup
-/// over. Must produce bit-identical survivors and stats to an ungoverned
-/// [`simulate_filter_governed`] run.
+/// semantics. Exists as the oracle the wide engine is property-tested
+/// against: it must produce bit-identical survivors and stats to a
+/// [`simulate_filter_governed`] run whose governor never trips.
 pub fn simulate_filter_reference(
     na: &NetlistAig,
     constraint: AigLit,

@@ -7,7 +7,7 @@
 //! here would mean the pipeline could corrupt a core.
 
 use pdat_aig::{netlist_to_aig, AigLit};
-use pdat_governor::Governor;
+use pdat_governor::{Governor, GovernorConfig};
 use pdat_mc::{
     candidates_for_netlist, houdini_prove_warm_governed, simulate_filter_governed,
     simulate_filter_reference, Candidate, CandidateKind, HoudiniConfig, SimFilterConfig,
@@ -15,6 +15,7 @@ use pdat_mc::{
 use pdat_netlist::{CellKind, NetId, Netlist, Simulator};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::time::Duration;
 
 const N_INPUTS: usize = 3;
 
@@ -144,7 +145,8 @@ proptest! {
 
     /// The parallel, compacted engine must produce bit-identical survivors
     /// and stats to the naive sequential reference scan, for any netlist,
-    /// seed, lane-block count, and thread count.
+    /// seed, lane-block count, and thread count, whether its governor is
+    /// unlimited or armed with caps that never trip.
     #[test]
     fn parallel_filter_matches_sequential_reference(
         recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()), 2..28),
@@ -166,12 +168,19 @@ proptest! {
                 *w = rand::Rng::gen::<u64>(r);
             }
         };
-        let gov = Governor::unlimited();
-        let fast =
-            simulate_filter_governed(&na, constraint, &cands, &config, &stimulus, seed, &gov);
         let slow = simulate_filter_reference(&na, constraint, &cands, &config, &stimulus, seed);
-        prop_assert!(fast.2.is_empty(), "an unlimited governor cannot degrade");
-        prop_assert_eq!(&fast.0, &slow.0, "survivor sets diverge");
-        prop_assert_eq!(&fast.1, &slow.1, "stats diverge");
+        let armed = Governor::new(&GovernorConfig {
+            deadline: Some(Duration::from_secs(86_400)),
+            cycle_budget: Some(u64::MAX / 2),
+            conflict_budget: Some(u64::MAX / 2),
+            ..Default::default()
+        });
+        for gov in [Governor::unlimited(), armed] {
+            let fast =
+                simulate_filter_governed(&na, constraint, &cands, &config, &stimulus, seed, &gov);
+            prop_assert!(fast.2.is_empty(), "an untripped governor cannot degrade");
+            prop_assert_eq!(&fast.0, &slow.0, "survivor sets diverge");
+            prop_assert_eq!(&fast.1, &slow.1, "stats diverge");
+        }
     }
 }

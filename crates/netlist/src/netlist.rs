@@ -371,11 +371,6 @@ impl Netlist {
         &self.cells[id.index()]
     }
 
-    /// Mutable cell lookup (used by resynthesis to re-point pins).
-    pub fn cell_mut(&mut self, id: CellId) -> &mut Cell {
-        &mut self.cells[id.index()]
-    }
-
     /// How `net` is driven.
     pub fn driver(&self, net: NetId) -> Driver {
         self.drivers[net.index()]

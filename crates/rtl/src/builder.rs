@@ -69,11 +69,6 @@ impl RtlBuilder {
             .collect()
     }
 
-    /// A single-bit primary input.
-    pub fn input_bit(&mut self, name: &str) -> NetId {
-        self.nl.add_input(name)
-    }
-
     /// A `width`-bit primary input (`name[i]` per bit).
     pub fn input_word(&mut self, name: &str, width: usize) -> Word {
         (0..width)
@@ -113,16 +108,6 @@ impl RtlBuilder {
     /// 2-input XOR.
     pub fn xor2(&mut self, a: NetId, b: NetId) -> NetId {
         self.nl.add_cell(CellKind::Xor2, &[a, b], "x")
-    }
-
-    /// 2-input NAND.
-    pub fn nand2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.nl.add_cell(CellKind::Nand2, &[a, b], "nd")
-    }
-
-    /// 2-input NOR.
-    pub fn nor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.nl.add_cell(CellKind::Nor2, &[a, b], "nr")
     }
 
     /// 2:1 mux: `s ? t : e`.
@@ -429,15 +414,6 @@ impl RtlBuilder {
                 self.nl.add_dff(db, bit, format!("{name}[{i}]"))
             })
             .collect()
-    }
-
-    /// A single-bit register with enable.
-    pub fn reg_bit(&mut self, d: NetId, en: NetId, init: bool, name: &str) -> NetId {
-        let fb = self.nl.add_net(format!("{name}_fb"));
-        let next = self.mux(en, d, fb);
-        let q = self.nl.add_dff(next, init, name);
-        self.nl.assign_alias(fb, q);
-        q
     }
 
     /// A register file: `count` registers of `width` bits with one write

@@ -213,9 +213,6 @@ impl Solver {
         }
         self.pp_cleanup_learnt();
         self.pp_rebuild_watches();
-        if let Some(g) = &self.governor {
-            g.charge_preprocess_steps(st.stats.steps);
-        }
         st.stats
     }
 

@@ -194,7 +194,6 @@ pub struct Solver {
     conflicts: u64,
     solve_conflicts: u64, // conflicts in the current/most recent solve call
     decisions: u64,
-    propagations: u64,
     num_learnt: usize, // live (non-deleted) learnt clauses
     conflict_budget: Option<u64>,
     governor: Option<Governor>,
@@ -242,7 +241,6 @@ impl Solver {
             conflicts: 0,
             solve_conflicts: 0,
             decisions: 0,
-            propagations: 0,
             num_learnt: 0,
             conflict_budget: None,
             governor: None,
@@ -297,19 +295,9 @@ impl Solver {
         self.add_clause(&c)
     }
 
-    /// Number of variables allocated.
-    pub fn num_vars(&self) -> usize {
-        self.assigns.len()
-    }
-
     /// Number of problem (non-learnt) clauses added.
     pub fn num_clauses(&self) -> usize {
         self.clauses.iter().filter(|c| !c.learnt && !c.deleted).count()
-    }
-
-    /// Live learnt clauses currently retained.
-    pub fn num_learnt_clauses(&self) -> usize {
-        self.num_learnt
     }
 
     /// Variables removed by [`Solver::preprocess`]'s bounded variable
@@ -321,16 +309,6 @@ impl Solver {
     /// Conflicts encountered so far (across all solve calls).
     pub fn num_conflicts(&self) -> u64 {
         self.conflicts
-    }
-
-    /// Decisions made so far.
-    pub fn num_decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Propagations performed so far.
-    pub fn num_propagations(&self) -> u64 {
-        self.propagations
     }
 
     /// Limit the number of conflicts per [`Solver::solve`] call; `None`
@@ -544,7 +522,6 @@ impl Solver {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
-            self.propagations += 1;
             // Binary layer first: each entry is (other literal, clause).
             // The list never shrinks during search (binaries are exempt
             // from clause-DB reduction), so a plain index walk is safe

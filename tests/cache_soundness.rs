@@ -135,6 +135,13 @@ fn cold(nl: &Netlist, env: &Environment<'_>, config: &PdatConfig) -> SubsetRepor
     let fresh = ProofCache::new();
     let report = run_pdat_cached(nl, env, &[], config, &fresh).expect("cold run");
     assert!(matches!(report.cache, CacheEffect::Miss));
+    // An oracle cut short by a budget would make the comparison vacuous.
+    let res = report.result.as_ref().expect("a miss solves");
+    assert!(
+        res.degradations.is_empty(),
+        "cold oracle degraded: {:?}",
+        res.degradations
+    );
     report
 }
 
@@ -180,8 +187,8 @@ proptest! {
                 "chain link {} diverged between cold and warm", i
             );
             prop_assert_eq!(
-                c.summary.optimized.gate_count,
-                w.summary.optimized.gate_count
+                (c.summary.optimized.gate_count, c.summary.optimized.dff_count),
+                (w.summary.optimized.gate_count, w.summary.optimized.dff_count)
             );
             if i > 0 {
                 prop_assert!(

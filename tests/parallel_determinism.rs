@@ -20,8 +20,10 @@ use pdat_repro::isa::RvSubset;
 use pdat_repro::mc::{houdini_prove_warm_governed, Candidate, HoudiniConfig};
 use pdat_repro::netlist::{CellKind, Netlist};
 use pdat_repro::{
-    run_pdat, ConstraintMode, Environment, Governor, PdatConfig, PdatResult, ProveConfig,
+    run_pdat, ConstraintMode, Environment, Governor, GovernorConfig, PdatConfig, PdatResult,
+    ProveConfig,
 };
+use std::time::{Duration, Instant};
 
 fn config_with_threads(threads: usize) -> PdatConfig {
     PdatConfig {
@@ -168,12 +170,24 @@ fn keyed_design() -> Netlist {
     nl
 }
 
+/// A governor with every cap armed but out of reach: each check site
+/// runs its full path without ever tripping.
+fn armed_governor() -> Governor {
+    Governor::new(&GovernorConfig {
+        deadline: Some(Duration::from_secs(86_400)),
+        conflict_budget: Some(u64::MAX / 2),
+        cycle_budget: Some(u64::MAX / 2),
+        ..Default::default()
+    })
+}
+
 /// The sharded prover — cone-of-influence encoding, CNF preprocessing,
 /// OR-tree detectors, cross-shard fixpoint — must prove the
 /// *bit-identical* list (values and order) that plain Houdini proves on
-/// the same simulation survivors, at every thread count, with no
-/// degradation: the partial encoding is equisatisfiable with the full one
-/// for every query a shard issues, and the Houdini fixpoint is unique.
+/// the same simulation survivors, at every thread count, unsharded, and
+/// under an armed but untripped governor, with no degradation: the
+/// partial encoding is equisatisfiable with the full one for every query
+/// a shard issues, and the Houdini fixpoint is unique.
 fn assert_prover_matches_plain_houdini(
     p: &Prepared,
     shard_size: usize,
@@ -181,7 +195,21 @@ fn assert_prover_matches_plain_houdini(
 ) -> Vec<Candidate> {
     let oracle = plain_houdini(&p.na, p.constraint, &p.survivors);
     assert!(!oracle.is_empty(), "{label}: fixture must prove something");
-    for threads in [1usize, 2, 4, 8] {
+    let runs = [
+        (1usize, shard_size, false),
+        (2, shard_size, false),
+        (4, shard_size, false),
+        (8, shard_size, false),
+        (1, 0, false),
+        (2, shard_size, true),
+    ];
+    for (threads, shard_size, armed) in runs {
+        let case = format!("{label} threads={threads} shard_size={shard_size} armed={armed}");
+        let governor = if armed {
+            armed_governor()
+        } else {
+            Governor::unlimited()
+        };
         let config = HoudiniConfig {
             conflict_budget: Some(40_000),
             max_iterations: 1_000,
@@ -191,6 +219,7 @@ fn assert_prover_matches_plain_houdini(
                 ..Default::default()
             },
         };
+        let t = Instant::now();
         let (proved, stats, events) = houdini_prove_warm_governed(
             &p.na.aig,
             p.constraint,
@@ -198,14 +227,28 @@ fn assert_prover_matches_plain_houdini(
             &p.survivors,
             &[],
             &config,
-            &Governor::unlimited(),
+            &governor,
         );
-        assert!(events.is_empty(), "{label} threads={threads}: degraded: {events:?}");
-        assert!(stats.shard_stats.len() > 1, "{label}: fixture must shard");
-        assert_eq!(
-            oracle, proved,
-            "{label} threads={threads}: prover diverged from plain Houdini"
-        );
+        let wall = t.elapsed().as_secs_f64();
+        assert!(events.is_empty(), "{case}: degraded: {events:?}");
+        if shard_size > 0 {
+            assert!(stats.shard_stats.len() > 1, "{label}: fixture must shard");
+        }
+        if threads == 1 {
+            // One worker runs the shards one after another, so their
+            // encode + preprocess + solve timers cannot add up to more
+            // than the whole run.
+            let busy: f64 = stats
+                .shard_stats
+                .iter()
+                .map(|s| s.encode_seconds + s.preprocess_seconds + s.solve_seconds)
+                .sum();
+            assert!(
+                busy <= wall + 1e-6,
+                "{case}: {busy}s shard time in a {wall}s run"
+            );
+        }
+        assert_eq!(oracle, proved, "{case}: prover diverged from plain Houdini");
     }
     oracle
 }
