@@ -1,5 +1,5 @@
 //! The repository's gates, run under `cargo test`: the panic lint over
-//! the input-facing sources and the four smoke binaries. Each gate is an
+//! the input-facing sources and the three smoke binaries. Each gate is an
 //! external process whose exit status is the verdict; its output is
 //! replayed on failure.
 
@@ -34,16 +34,6 @@ fn fault_smoke() {
     assert_gate_passes(
         "fault_smoke",
         Command::new(env!("CARGO_BIN_EXE_fault_smoke")).arg("12"),
-    );
-}
-
-/// The governed, sharded prover reproduces the keyed design's golden
-/// proved list with no degradation events.
-#[test]
-fn prove_smoke() {
-    assert_gate_passes(
-        "prove_smoke",
-        &mut Command::new(env!("CARGO_BIN_EXE_prove_smoke")),
     );
 }
 
