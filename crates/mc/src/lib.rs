@@ -10,14 +10,15 @@
 //! 1. **Falsification** — bit-parallel constrained random simulation kills
 //!    most candidates cheaply ([`simulate_filter_governed`]; the scalar
 //!    [`simulate_filter_reference`] is the oracle it is tested against).
-//! 2. **Proof** — a Houdini-style mutual-induction fixpoint over a
-//!    two-frame SAT encoding proves the survivors
-//!    ([`houdini_prove_warm_governed`]):
-//!    assume all candidates at frame 0 (plus the environment constraint at
-//!    both frames), ask SAT for a violation of any candidate at frame 1,
-//!    drop everything falsified, repeat. When the query is UNSAT the
-//!    remaining set is inductive — and since simulation already checked the
-//!    reset state, every survivor holds on all constrained executions.
+//! 2. **Proof** — a Houdini-style mutual-induction fixpoint proves the
+//!    survivors ([`houdini_prove_warm_governed`]). The base case asks SAT
+//!    for a constrained reset state violating any candidate and drops
+//!    everything falsified until the query is UNSAT. Consecution then
+//!    assumes all remaining candidates at frame 0 (plus the environment
+//!    constraint at both frames), asks SAT for a violation of any
+//!    candidate at frame 1, drops everything falsified, and repeats. When
+//!    that query is UNSAT the remaining set holds at reset and is
+//!    inductive, so every survivor holds on all constrained executions.
 //!
 //! Resource exhaustion (conflict budgets) only ever *drops* candidates:
 //! exactly the paper's observation (§VII-C) that inconclusive analyses are
