@@ -102,10 +102,10 @@ fn match_lit(aig: &mut Aig, bits: &[AigLit], p: &Pattern) -> AigLit {
         PatternWidth::Word => 32,
     };
     let mut terms = Vec::new();
-    for i in 0..width.min(bits.len()) {
+    for (i, &bit) in bits.iter().enumerate().take(width) {
         if p.mask >> i & 1 == 1 {
             let want = p.value >> i & 1 == 1;
-            terms.push(if want { bits[i] } else { !bits[i] });
+            terms.push(if want { bit } else { !bit });
         }
     }
     // 32-bit encodings additionally require low2 == 11; halfwords require
@@ -123,11 +123,11 @@ fn rv_reg_limit_bits(form: RvInstr) -> u32 {
     let rs2 = 1 << 24;
     match form {
         Lui | Auipc | Jal => rd,
-        Jalr | Lb | Lh | Lw | Lbu | Lhu | Addi | Slti | Sltiu | Xori | Ori | Andi | Slli
-        | Srli | Srai => rd | rs1,
+        Jalr | Lb | Lh | Lw | Lbu | Lhu | Addi | Slti | Sltiu | Xori | Ori | Andi | Slli | Srli
+        | Srai => rd | rs1,
         Beq | Bne | Blt | Bge | Bltu | Bgeu | Sb | Sh | Sw => rs1 | rs2,
-        Add | Sub | Sll | Slt | Sltu | Xor | Srl | Sra | Or | And | Mul | Mulh | Mulhsu
-        | Mulhu | Div | Divu | Rem | Remu => rd | rs1 | rs2,
+        Add | Sub | Sll | Slt | Sltu | Xor | Srl | Sra | Or | And | Mul | Mulh | Mulhsu | Mulhu
+        | Div | Divu | Rem | Remu => rd | rs1 | rs2,
         Csrrw | Csrrs | Csrrc => rd | rs1,
         Csrrwi | Csrrsi | Csrrci => rd,
         Fence | FenceI | Ecall | Ebreak => 0,
@@ -220,14 +220,7 @@ pub fn rv_constraint(
     let sampler = Sampler {
         forms: allowed
             .iter()
-            .map(|(p, forbidden)| {
-                (
-                    p.mask,
-                    p.value,
-                    p.width == PatternWidth::Half,
-                    *forbidden,
-                )
-            })
+            .map(|(p, forbidden)| (p.mask, p.value, p.width == PatternWidth::Half, *forbidden))
             .collect(),
     };
     (
@@ -331,7 +324,10 @@ mod tests {
         assert!(eval_constraint(&aig, lit, e::beq(1, 2, 8)));
         assert!(eval_constraint(&aig, lit, e::ecall()));
         assert!(!eval_constraint(&aig, lit, e::mul(1, 2, 3)), "M excluded");
-        assert!(!eval_constraint(&aig, lit, e::csrrw(1, 0x300, 2)), "Zicsr excluded");
+        assert!(
+            !eval_constraint(&aig, lit, e::csrrw(1, 0x300, 2)),
+            "Zicsr excluded"
+        );
         assert!(
             !eval_constraint(&aig, lit, e::c_addi(5, 1) as u32),
             "compressed excluded"
@@ -374,8 +370,8 @@ mod tests {
             // Check lane 0 and lane 17.
             for lane in [0usize, 17] {
                 let mut w = 0u32;
-                for bit in 0..32 {
-                    if words[bit] >> lane & 1 == 1 {
+                for (bit, word) in words.iter().enumerate().take(32) {
+                    if word >> lane & 1 == 1 {
                         w |= 1 << bit;
                     }
                 }
@@ -433,7 +429,11 @@ mod tests {
             thumb_canonical_forms(&ThumbSubset::interesting_subset()),
             vec![],
         );
-        assert_eq!(thumb.fingerprint(), 0x401cdf76d12dedd6, "Thumb cut-mode key");
+        assert_eq!(
+            thumb.fingerprint(),
+            0x401cdf76d12dedd6,
+            "Thumb cut-mode key"
+        );
         assert_eq!(
             CanonicalEnv::unconstrained().fingerprint(),
             0xd4657f55662f817f,

@@ -51,7 +51,8 @@ pub struct SimFilterConfig {
     /// Worker threads to spread block chunks over. **Not** part of the
     /// result's identity: any value yields bit-identical survivors and
     /// stats. Parallelism granularity is one chunk of [`SIM_WIDTH`] blocks,
-    /// so full thread utilization needs `lane_blocks >= SIM_WIDTH * threads`.
+    /// so at most `min(threads, ceil(lane_blocks / SIM_WIDTH))` workers
+    /// run — one at the defaults (4 blocks, `SIM_WIDTH` = 4).
     pub threads: usize,
     /// Restart a block from reset when fewer than this many of its 64 lanes
     /// still satisfy the constraint (sticky mask). `1` restores the legacy
@@ -288,8 +289,8 @@ fn run_chunk(
             live.truncate(w);
         }
         sim.step();
-        for w in 0..real {
-            if restart[w] {
+        for (w, &r) in restart[..real].iter().enumerate() {
+            if r {
                 sim.reset_word(w);
             }
         }
@@ -532,7 +533,8 @@ pub fn simulate_filter_governed(
                 .flat_map(|h| {
                     // Chunk panics are caught inside execute_chunk; a panic
                     // escaping to here is an engine bug, not input-driven.
-                    h.join().expect("sim worker panicked outside the chunk boundary")
+                    h.join()
+                        .expect("sim worker panicked outside the chunk boundary")
                 })
                 .collect()
         })
@@ -770,7 +772,11 @@ mod tests {
             &|_r, words| words.fill(0xAAAA_AAAA_AAAA_AAAA),
             5,
         );
-        assert_eq!(alive.len(), 1, "y==1 survives in constraint-satisfying lanes");
+        assert_eq!(
+            alive.len(),
+            1,
+            "y==1 survives in constraint-satisfying lanes"
+        );
     }
 
     #[test]
@@ -925,7 +931,10 @@ mod tests {
                 &conv,
                 AigLit::TRUE,
                 &cands,
-                &SimFilterConfig { threads, ..config.clone() },
+                &SimFilterConfig {
+                    threads,
+                    ..config.clone()
+                },
                 &random_stimulus,
                 0xBEEF,
                 &g,

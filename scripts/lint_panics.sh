@@ -6,7 +6,7 @@
 # error, never a panic. The proof-cache store and its persistence layer
 # consume untrusted cache files and must degrade to misses, never abort.
 # CNF preprocessing rewrites the clause database in place under a frozen-
-# variable contract; a panic there would poison a prover shard, so its
+# variable contract; a panic there would drop every unproved candidate, so its
 # failure mode must also stay structured. The service crate is the
 # long-running surface: an organic panic there takes down a worker or
 # wedges the queue, so every lock acquisition and reply send must stay
