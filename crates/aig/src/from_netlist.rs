@@ -130,8 +130,7 @@ fn resolve(
         Driver::None => AigLit::FALSE, // floating nets read as 0
         Driver::Input => {
             // Input not yet mapped (can't happen: mapped above), be safe.
-            let l = aig.add_input();
-            l
+            aig.add_input()
         }
         Driver::Cell(_) => {
             // A combinational cell output is always mapped before use by the

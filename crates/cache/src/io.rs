@@ -174,8 +174,7 @@ impl WriteBudget {
     fn spend(&mut self) -> Result<(), CacheIoError> {
         match self.remaining.as_mut() {
             None => Ok(()),
-            Some(0) => Err(CacheIoError::Io(std::io::Error::new(
-                std::io::ErrorKind::Other,
+            Some(0) => Err(CacheIoError::Io(std::io::Error::other(
                 "injected i/o fault (io_fail_after_writes)",
             ))),
             Some(n) => {

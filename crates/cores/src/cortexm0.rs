@@ -355,10 +355,7 @@ pub fn build_cortexm0() -> CortexM0Core {
     };
     let alu_a = b.mux_word(m(Adr), &pc_al, &alu_a);
 
-    let sub_sel = {
-        let x = b.or2(is_sub_like, is_sbc);
-        x
-    };
+    let sub_sel = b.or2(is_sub_like, is_sbc);
     let bnot = b.not_word(&alu_b);
     let addend = b.mux_word(sub_sel, &bnot, &alu_b);
     let cin = {
@@ -849,10 +846,7 @@ pub fn build_cortexm0() -> CortexM0Core {
         };
         b.extend(&w, 32, true)
     };
-    let bcond_tgt = {
-        let t = b.add(&pc_read, &bcond_off);
-        t
-    };
+    let bcond_tgt = b.add(&pc_read, &bcond_off);
     let b_tgt = b.add(&pc_read, &b_off);
     let bx_tgt = {
         let mut bits = op_b_reg.bits().to_vec();
@@ -860,10 +854,7 @@ pub fn build_cortexm0() -> CortexM0Core {
         Word::from_bits(bits)
     };
     // BL: second half (ex_is32 registered says *this* halfword was hw1).
-    let bl_exec = {
-        let x = b.and2(bl_pending_fb, ex_valid);
-        x
-    };
+    let bl_exec = b.and2(bl_pending_fb, ex_valid);
     let bl_off = {
         // offset = S:I1:I2:imm10:imm11:0 where I = !(J ^ S).
         let s = bl_hw1_fb.bit(10);
@@ -949,10 +940,7 @@ pub fn build_cortexm0() -> CortexM0Core {
         let d = b.mux_word(use_rdn8, &rdn8w, &rd3w);
         let d = b.mux_word(use_hi, &rd_hi, &d);
         let sp = b.constant(13, 4);
-        let sp_write = {
-            let x = b.or2(m(AddSpImmT2), m(SubSpImm));
-            x
-        };
+        let sp_write = b.or2(m(AddSpImmT2), m(SubSpImm));
         let d = b.mux_word(sp_write, &sp, &d);
         let lr = b.constant(14, 4);
         let link = b.or2(bl_exec, m(BlxReg));

@@ -364,10 +364,7 @@ pub fn build_ibex() -> IbexCore {
         // one-hot base mask: SB -> 0001, SH -> 0011, SW -> 1111, then shifted
         // left by addr[1:0].
         let base0 = one;
-        let base1 = {
-            let nb = b.not(size_b);
-            nb // SH or SW
-        };
+        let base1 = b.not(size_b); // SH or SW
         let base23 = {
             let nbh = b.or2(size_b, size_h);
             b.not(nbh) // SW only

@@ -254,10 +254,7 @@ pub fn build_ridecore() -> RideCore {
         let at1 = b.decode_index(&tail1, e);
         let we1 = b.and2(at1, d1.writes);
         let alloc_here = b.or2(at0, at1);
-        let meta = {
-            let v = b.mux_word(at1, &meta1, &meta0);
-            v
-        };
+        let meta = b.mux_word(at1, &meta1, &meta0);
         let mwen = b.or2(we0, we1);
         rob_meta.push(b.reg_en(&meta, mwen, 0, &format!("rob_meta{e}")));
         // valid: set on allocate, cleared on commit.
@@ -361,11 +358,11 @@ pub fn build_ridecore() -> RideCore {
     // Select the two lowest-index valid entries.
     let mut g0: Vec<NetId> = Vec::with_capacity(IQ_ENTRIES);
     let mut taken_before = zero;
-    for e in 0..IQ_ENTRIES {
+    for &valid in &iq_valid[..IQ_ENTRIES] {
         let nt = b.not(taken_before);
-        let g = b.and2(iq_valid[e], nt);
+        let g = b.and2(valid, nt);
         g0.push(g);
-        taken_before = b.or2(taken_before, iq_valid[e]);
+        taken_before = b.or2(taken_before, valid);
     }
     let mut g1: Vec<NetId> = Vec::with_capacity(IQ_ENTRIES);
     let mut count_one = zero;

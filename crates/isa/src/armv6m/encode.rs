@@ -65,13 +65,13 @@ pub fn t_mov_reg(rd: u32, rm: u32) -> u16 {
 
 /// `lsrs rd, rm, #imm5` (imm5 = 1..=32; 32 encoded as 0).
 pub fn t_lsr_imm(rd: u32, rm: u32, imm5: u32) -> u16 {
-    debug_assert!(imm5 >= 1 && imm5 <= 32);
+    debug_assert!((1..=32).contains(&imm5));
     0x0800 | ((imm5 % 32) as u16) << 6 | r3(rm) << 3 | r3(rd)
 }
 
 /// `asrs rd, rm, #imm5`.
 pub fn t_asr_imm(rd: u32, rm: u32, imm5: u32) -> u16 {
-    debug_assert!(imm5 >= 1 && imm5 <= 32);
+    debug_assert!((1..=32).contains(&imm5));
     0x1000 | ((imm5 % 32) as u16) << 6 | r3(rm) << 3 | r3(rd)
 }
 
@@ -133,13 +133,13 @@ dp!(/// `revsh rd, rm`.
 
 /// `ldr rt, [rn, #imm]` (imm word-aligned, 0..=124).
 pub fn t_ldr_imm(rt: u32, rn: u32, imm: u32) -> u16 {
-    debug_assert!(imm % 4 == 0 && imm < 128);
+    debug_assert!(imm.is_multiple_of(4) && imm < 128);
     0x6800 | ((imm / 4) as u16) << 6 | r3(rn) << 3 | r3(rt)
 }
 
 /// `str rt, [rn, #imm]`.
 pub fn t_str_imm(rt: u32, rn: u32, imm: u32) -> u16 {
-    debug_assert!(imm % 4 == 0 && imm < 128);
+    debug_assert!(imm.is_multiple_of(4) && imm < 128);
     0x6000 | ((imm / 4) as u16) << 6 | r3(rn) << 3 | r3(rt)
 }
 
@@ -157,13 +157,13 @@ pub fn t_strb_imm(rt: u32, rn: u32, imm: u32) -> u16 {
 
 /// `ldrh rt, [rn, #imm]` (imm halfword-aligned, 0..=62).
 pub fn t_ldrh_imm(rt: u32, rn: u32, imm: u32) -> u16 {
-    debug_assert!(imm % 2 == 0 && imm < 64);
+    debug_assert!(imm.is_multiple_of(2) && imm < 64);
     0x8800 | ((imm / 2) as u16) << 6 | r3(rn) << 3 | r3(rt)
 }
 
 /// `strh rt, [rn, #imm]`.
 pub fn t_strh_imm(rt: u32, rn: u32, imm: u32) -> u16 {
-    debug_assert!(imm % 2 == 0 && imm < 64);
+    debug_assert!(imm.is_multiple_of(2) && imm < 64);
     0x8000 | ((imm / 2) as u16) << 6 | r3(rn) << 3 | r3(rt)
 }
 

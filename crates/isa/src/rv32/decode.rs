@@ -32,12 +32,9 @@ fn sext(v: u32, bits: u32) -> i32 {
 /// Returns `None` for encodings outside the implemented set.
 pub fn decode_form(word: u32) -> Option<RvInstr> {
     let compressed = word & 0b11 != 0b11;
-    for i in RvInstr::ALL {
-        if i.is_compressed() == compressed && i.pattern().matches(word) {
-            return Some(i);
-        }
-    }
-    None
+    RvInstr::ALL
+        .into_iter()
+        .find(|&i| i.is_compressed() == compressed && i.pattern().matches(word))
 }
 
 /// Fully decode a 32-bit (non-compressed) instruction word.

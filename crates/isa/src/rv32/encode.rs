@@ -271,28 +271,28 @@ pub fn c_and(rd: u32, rs2: u32) -> u16 {
 
 /// `c.lw rd', uimm(rs1')` (uimm word-aligned, 0..=124).
 pub fn c_lw(rd: u32, rs1: u32, uimm: u32) -> u16 {
-    debug_assert!(uimm % 4 == 0 && uimm < 128);
+    debug_assert!(uimm.is_multiple_of(4) && uimm < 128);
     let u = uimm as u16;
     0x4000 | (u >> 3 & 0x7) << 10 | creg(rs1) << 7 | (u >> 2 & 1) << 6 | (u >> 6 & 1) << 5 | creg(rd) << 2
 }
 
 /// `c.sw rs2', uimm(rs1')`.
 pub fn c_sw(rs2: u32, rs1: u32, uimm: u32) -> u16 {
-    debug_assert!(uimm % 4 == 0 && uimm < 128);
+    debug_assert!(uimm.is_multiple_of(4) && uimm < 128);
     let u = uimm as u16;
     0xC000 | (u >> 3 & 0x7) << 10 | creg(rs1) << 7 | (u >> 2 & 1) << 6 | (u >> 6 & 1) << 5 | creg(rs2) << 2
 }
 
 /// `c.lwsp rd, uimm(sp)` (rd != 0, uimm word-aligned < 256).
 pub fn c_lwsp(rd: u32, uimm: u32) -> u16 {
-    debug_assert!(rd != 0 && rd < 32 && uimm % 4 == 0 && uimm < 256);
+    debug_assert!(rd != 0 && rd < 32 && uimm.is_multiple_of(4) && uimm < 256);
     let u = uimm as u16;
     0x4002 | (u >> 5 & 1) << 12 | (rd as u16) << 7 | (u >> 2 & 0x7) << 4 | (u >> 6 & 0x3) << 2
 }
 
 /// `c.swsp rs2, uimm(sp)`.
 pub fn c_swsp(rs2: u32, uimm: u32) -> u16 {
-    debug_assert!(rs2 < 32 && uimm % 4 == 0 && uimm < 256);
+    debug_assert!(rs2 < 32 && uimm.is_multiple_of(4) && uimm < 256);
     let u = uimm as u16;
     0xC002 | (u >> 2 & 0xF) << 9 | (u >> 6 & 0x3) << 7 | (rs2 as u16) << 2
 }
@@ -318,7 +318,7 @@ pub fn c_addi16sp(imm: i32) -> u16 {
 
 /// `c.addi4spn rd', nzuimm` (nzuimm multiple of 4, 4..=1020).
 pub fn c_addi4spn(rd: u32, uimm: u32) -> u16 {
-    debug_assert!(uimm != 0 && uimm % 4 == 0 && uimm < 1024);
+    debug_assert!(uimm != 0 && uimm.is_multiple_of(4) && uimm < 1024);
     let u = uimm as u16;
     (u >> 4 & 0x3) << 11 | (u >> 6 & 0xF) << 7 | (u >> 2 & 1) << 6 | (u >> 3 & 1) << 5 | creg(rd) << 2
 }

@@ -158,7 +158,11 @@ impl CellKind {
             CellKind::Aoi21 => !((ins[0] && ins[1]) || ins[2]),
             CellKind::Oai21 => !((ins[0] || ins[1]) && ins[2]),
             CellKind::Maj3 => {
-                (ins[0] && ins[1]) || (ins[0] && ins[2]) || (ins[1] && ins[2])
+                if ins[0] {
+                    ins[1] || ins[2]
+                } else {
+                    ins[1] && ins[2]
+                }
             }
             CellKind::Tie0 => false,
             CellKind::Tie1 => true,

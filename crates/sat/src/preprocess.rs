@@ -91,7 +91,7 @@ impl PpState {
     /// One work unit; returns `false` when the governor says stop.
     fn step(&mut self, solver: &Solver) -> bool {
         self.stats.steps += 1;
-        if self.stats.steps % POLL_STEPS == 0 {
+        if self.stats.steps.is_multiple_of(POLL_STEPS) {
             if let Some(g) = &solver.governor {
                 if g.is_cancelled() || g.deadline_exceeded() {
                     self.stats.aborted = true;

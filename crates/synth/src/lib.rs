@@ -502,9 +502,7 @@ fn simplify_cell(kind: CellKind, ins: &[Sig]) -> Simplified {
                         } else {
                             Simplified::Cell(And2, others)
                         }
-                    } else if ins[0] == ins[1] {
-                        Simplified::Wire(ins[0])
-                    } else if ins[0] == ins[2] {
+                    } else if ins[0] == ins[1] || ins[0] == ins[2] {
                         Simplified::Wire(ins[0])
                     } else if ins[1] == ins[2] {
                         Simplified::Wire(ins[1])
@@ -535,11 +533,9 @@ fn sweep_dead(nl: &Netlist) -> (Netlist, usize) {
     }
     while let Some(n) = stack.pop() {
         match nl.driver(n) {
-            Driver::Alias(s) => {
-                if !live_net[s.index()] {
-                    live_net[s.index()] = true;
-                    stack.push(s);
-                }
+            Driver::Alias(s) if !live_net[s.index()] => {
+                live_net[s.index()] = true;
+                stack.push(s);
             }
             Driver::Cell(cid) => {
                 for &i in &nl.cell(cid).inputs {
@@ -588,13 +584,11 @@ fn sweep_dead(nl: &Netlist) -> (Netlist, usize) {
         }
         match nl.driver(net) {
             Driver::Const(v) => out.assign_const(map[&net], v),
-            Driver::Alias(s) => {
-                if live_net[s.index()] {
-                    let a = map[&net];
-                    let b = map[&s];
-                    if a != b {
-                        out.assign_alias(a, b);
-                    }
+            Driver::Alias(s) if live_net[s.index()] => {
+                let a = map[&net];
+                let b = map[&s];
+                if a != b {
+                    out.assign_alias(a, b);
                 }
             }
             _ => {}

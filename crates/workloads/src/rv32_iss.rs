@@ -125,8 +125,7 @@ impl Rv32Iss {
         };
         self.retired += 1;
         let next = self.pc.wrapping_add(size);
-        let stop = self.execute(&d, next);
-        stop
+        self.execute(&d, next)
     }
 
     fn execute(&mut self, d: &DecodedRv, next: u32) -> Option<RvStop> {
@@ -245,7 +244,7 @@ impl Rv32Iss {
                 self.w(d.rd, v);
             }
             Divu => {
-                let v = if rs2 == 0 { u32::MAX } else { rs1 / rs2 };
+                let v = rs1.checked_div(rs2).unwrap_or(u32::MAX);
                 self.w(d.rd, v);
             }
             Rem => {

@@ -441,7 +441,7 @@ impl ThumbIss {
                 pc = self.regs[rm_hi] & !1;
             }
             Bl => {
-                let hw1 = (word >> 16) as u32;
+                let hw1 = word >> 16;
                 let hw2 = word & 0xFFFF;
                 let s = hw1 >> 10 & 1;
                 let j1 = hw2 >> 13 & 1;
