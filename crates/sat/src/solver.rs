@@ -444,7 +444,9 @@ impl Solver {
         sorted.sort();
         sorted.dedup();
         for &l in &sorted {
-            if sorted.contains(&!l) {
+            // Binary search keeps wide clauses (one literal per candidate)
+            // O(n log n) to add.
+            if sorted.binary_search(&!l).is_ok() {
                 return true; // tautology
             }
             match self.lit_value(l) {
