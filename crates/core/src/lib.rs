@@ -73,5 +73,6 @@ pub use pdat_mc::{
 };
 pub use pipeline::{
     canonical_env, run_pdat, run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect,
-    Environment, ExtraRestriction, PdatConfig, PdatError, PdatResult, SubsetReport,
+    Environment, ExtraRestriction, PdatConfig, PdatError, PdatResult, PreparedNetlist,
+    SubsetReport,
 };

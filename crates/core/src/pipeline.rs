@@ -21,8 +21,10 @@ use pdat_netlist::{Driver, NetId, Netlist, NetlistStats, ParseNetlistError, Vali
 use pdat_synth::resynthesize_governed;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a PDAT run.
@@ -280,21 +282,8 @@ pub fn run_pdat(
     config: &PdatConfig,
 ) -> Result<PdatResult, PdatError> {
     let governor = config_governor(config);
-    netlist.validate()?;
-    let baseline = baseline_stats(netlist);
-    let na = netlist_to_aig(netlist, &cut_nets_for(env));
-    let candidates = candidates_for_netlist(netlist, &na);
-    run_prepared(
-        netlist,
-        baseline,
-        na,
-        candidates,
-        env,
-        &[],
-        &[],
-        config,
-        &governor,
-    )
+    let prepared = PreparedNetlist::new(Cow::Borrowed(netlist))?;
+    run_prepared(&prepared, env, &[], &[], config, &governor)
 }
 
 /// The governor of a run that brings none: `config`'s deadline, global
@@ -306,6 +295,64 @@ fn config_governor(config: &PdatConfig) -> Governor {
         cycle_budget: config.global_cycle_budget,
         fault_plan: config.fault_plan.clone(),
     })
+}
+
+/// A validated netlist plus the work every environment restriction of it
+/// shares: fingerprint, baseline statistics and analysis model, each built
+/// on first use and then kept. Nothing downstream re-validates.
+///
+/// The model memo has one slot, keyed by the exact cut-net list (empty for
+/// the uncut model): the list's order fixes the AIG's input order, and one
+/// slot keeps a long-lived value from growing with every port list it sees.
+pub struct PreparedNetlist<'a> {
+    netlist: Cow<'a, Netlist>,
+    fingerprint: OnceLock<u64>,
+    baseline: OnceLock<NetlistStats>,
+    model: Mutex<Option<Arc<Model>>>,
+}
+
+/// The analysis AIG for one cut-net list, with its candidate invariants.
+struct Model {
+    cut: Vec<NetId>,
+    na: NetlistAig,
+    candidates: Vec<Candidate>,
+}
+
+impl<'a> PreparedNetlist<'a> {
+    /// Validate and wrap `netlist` (borrowed for one run, owned to keep).
+    ///
+    /// # Errors
+    ///
+    /// [`PdatError::InvalidNetlist`] if the netlist is structurally invalid.
+    pub fn new(netlist: Cow<'a, Netlist>) -> Result<Self, PdatError> {
+        netlist.validate()?;
+        Ok(PreparedNetlist {
+            netlist,
+            fingerprint: OnceLock::new(),
+            baseline: OnceLock::new(),
+            model: Mutex::new(None),
+        })
+    }
+
+    /// The analysis model with the `cut` nets cut from their drivers, built
+    /// under the lock so concurrent requests for one cut build it once. A
+    /// panic mid-build leaves the slot as it was, so poison is harmless.
+    fn model(&self, cut: &[NetId]) -> Arc<Model> {
+        let mut slot = match self.model.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if let Some(m) = slot.as_ref().filter(|m| m.cut == cut) {
+            return Arc::clone(m);
+        }
+        let na = netlist_to_aig(&self.netlist, cut);
+        let candidates = candidates_for_netlist(&self.netlist, &na);
+        Arc::clone(slot.insert(Arc::new(Model {
+            cut: cut.to_vec(),
+            na,
+            candidates,
+        })))
+    }
 }
 
 /// Baseline: plain synthesis, no properties. Ungoverned on purpose: the
@@ -333,25 +380,27 @@ fn cut_nets_for(env: &Environment<'_>) -> Vec<NetId> {
     }
 }
 
-/// The pipeline proper, over a pre-built analysis model. `warm` is a set
+/// The pipeline proper, over a prepared netlist. `warm` is a set
 /// of invariants already proved under a *superset* environment (every
 /// execution allowed here was allowed there): lattice monotonicity makes
 /// them invariants here too, so they skip falsification entirely and
 /// enter the Houdini fixpoint as permanently-assumed facts (see
 /// [`houdini_prove_warm_governed`] for the exactness argument — the
 /// unbudgeted warm-started proved set is identical to the cold one).
-#[allow(clippy::too_many_arguments)]
 fn run_prepared(
-    netlist: &Netlist,
-    baseline: NetlistStats,
-    mut na: NetlistAig,
-    candidates: Vec<Candidate>,
+    prepared: &PreparedNetlist<'_>,
     env: &Environment<'_>,
     extras: &[ExtraRestriction],
     warm: &[CandidateId],
     config: &PdatConfig,
     governor: &Governor,
 ) -> Result<PdatResult, PdatError> {
+    let netlist: &Netlist = &prepared.netlist;
+    let baseline = prepared.baseline.get_or_init(|| baseline_stats(netlist));
+    let model = prepared.model(&cut_nets_for(env));
+    let candidates = &model.candidates;
+    // The constraint is added to a copy; the memo keeps the bare model.
+    let mut na = model.na.clone();
     let mut degradations: Vec<DegradationEvent> = Vec::new();
     let t0 = Instant::now();
 
@@ -371,15 +420,11 @@ fn run_prepared(
     // independent — so the merged survivor set below is bit-identical
     // to what a cold run computes.
     let warm_ids: HashSet<CandidateId> = warm.iter().copied().collect();
-    let sim_input: Vec<Candidate> = if warm_ids.is_empty() {
-        candidates.clone()
-    } else {
-        candidates
-            .iter()
-            .filter(|c| !warm_ids.contains(&c.canonical_id()))
-            .copied()
-            .collect()
-    };
+    let sim_input: Vec<Candidate> = candidates
+        .iter()
+        .filter(|c| !warm_ids.contains(&c.canonical_id()))
+        .copied()
+        .collect();
 
     // --- Falsify by constrained random simulation ---
     let constraints_ref = &instr_constraints;
@@ -451,7 +496,7 @@ fn run_prepared(
 
     Ok(PdatResult {
         netlist: optimized_nl,
-        baseline,
+        baseline: baseline.clone(),
         optimized,
         candidates: n_candidates,
         sim_survivors: n_survivors,
@@ -555,7 +600,7 @@ pub struct SubsetReport {
     pub summary: CachedSummary,
     /// The full pipeline result when something was actually solved
     /// (`None` for exact hits — the cache answers without a netlist).
-    pub result: Option<PdatResult>,
+    pub result: Option<Box<PdatResult>>,
 }
 
 /// [`run_pdat`] with additional [`ExtraRestriction`]s, through the proof
@@ -577,12 +622,9 @@ pub fn run_pdat_cached(
     cache: &ProofCache,
 ) -> Result<SubsetReport, PdatError> {
     let governor = config_governor(config);
-    netlist.validate()?;
-    let nfp = netlist_fingerprint(netlist);
+    let prepared = PreparedNetlist::new(Cow::Borrowed(netlist))?;
     let cenv = canonical_env(env, extras);
-    solve_cached(
-        netlist, &mut None, nfp, &cenv, env, extras, config, &governor, cache, &mut None,
-    )
+    solve_cached(&prepared, &cenv, env, extras, config, &governor, cache)
 }
 
 /// One request of a batched multi-subset run.
@@ -593,12 +635,12 @@ pub struct BatchRequest<'a> {
     pub extras: Vec<ExtraRestriction>,
 }
 
-/// Evaluate many environment restrictions of one netlist through the
-/// proof cache, amortizing everything request-independent.
+/// Evaluate many environment restrictions of one prepared netlist
+/// through the proof cache.
 ///
-/// * The baseline resynthesis and the uncut analysis AIG + candidate
-///   list are built at most once for the whole batch (cutpoint-based
-///   requests still build their own cut AIG — the cut changes it).
+/// * The baseline resynthesis and the analysis model come from
+///   `prepared`, which builds each at most once for its whole lifetime
+///   (the model memo holds the most recent cut-net list).
 /// * Requests are *processed* in ascending lattice depth (most
 ///   permissive first, deterministic tie-break on fingerprint), so a
 ///   chain `E ⊇ E' ⊇ E''` resolves ancestors first and every descendant
@@ -616,21 +658,13 @@ pub struct BatchRequest<'a> {
 ///
 /// Outcomes are returned in the *original request order*, one
 /// `Result<SubsetReport, PdatError>` per request.
-///
-/// # Errors
-///
-/// The outer `Err` is reserved for faults that invalidate the whole
-/// batch — a structurally invalid shared netlist. Everything
-/// request-specific comes back in that request's slot.
 pub fn run_pdat_batch(
-    netlist: &Netlist,
+    prepared: &PreparedNetlist<'_>,
     requests: &[BatchRequest<'_>],
     config: &PdatConfig,
     governor: &Governor,
     cache: &ProofCache,
-) -> Result<Vec<Result<SubsetReport, PdatError>>, PdatError> {
-    netlist.validate()?;
-    let nfp = netlist_fingerprint(netlist);
+) -> Vec<Result<SubsetReport, PdatError>> {
     let cenvs: Vec<CanonicalEnv> = requests
         .iter()
         .map(|r| canonical_env(&r.env, &r.extras))
@@ -638,46 +672,31 @@ pub fn run_pdat_batch(
     let mut order: Vec<usize> = (0..requests.len()).collect();
     order.sort_by_key(|&i| (cenvs[i].depth(), cenvs[i].fingerprint(), i));
 
-    let mut baseline: Option<NetlistStats> = None;
-    let mut uncut_model: Option<(NetlistAig, Vec<Candidate>)> = None;
     let mut out: Vec<Option<Result<SubsetReport, PdatError>>> =
         (0..requests.len()).map(|_| None).collect();
-    for &i in &order {
-        let report = solve_cached(
-            netlist,
-            &mut baseline,
-            nfp,
-            &cenvs[i],
-            &requests[i].env,
-            &requests[i].extras,
-            config,
-            governor,
-            cache,
-            &mut uncut_model,
-        );
-        out[i] = Some(report);
+    for i in order {
+        let r = &requests[i];
+        out[i] = Some(solve_cached(
+            prepared, &cenvs[i], &r.env, &r.extras, config, governor, cache,
+        ));
     }
-    Ok(out.into_iter().flatten().collect())
+    out.into_iter().flatten().collect()
 }
 
 /// Shared cached-solve core: consult the cache, solve (warm or cold) on
 /// anything short of an exact hit, and insert complete solves back.
-/// `baseline` and `uncut_model` are fill-on-demand memos so batch
-/// callers pay for them at most once (and all-exact-hit batches never
-/// pay at all).
-#[allow(clippy::too_many_arguments)]
+/// Exact hits read only the fingerprint, so they build nothing else.
 fn solve_cached(
-    netlist: &Netlist,
-    baseline: &mut Option<NetlistStats>,
-    nfp: u64,
+    prepared: &PreparedNetlist<'_>,
     cenv: &CanonicalEnv,
     env: &Environment<'_>,
     extras: &[ExtraRestriction],
     config: &PdatConfig,
     governor: &Governor,
     cache: &ProofCache,
-    uncut_model: &mut Option<(NetlistAig, Vec<Candidate>)>,
 ) -> Result<SubsetReport, PdatError> {
+    let nl = &prepared.netlist;
+    let nfp = *prepared.fingerprint.get_or_init(|| netlist_fingerprint(nl));
     let env_fp = cenv.fingerprint();
     let (warm, effect) = match cache.lookup(nfp, cenv) {
         CacheLookup::Exact(run) => {
@@ -691,32 +710,13 @@ fn solve_cached(
             });
         }
         CacheLookup::Lattice(run) => {
-            let warm = run.proved.clone();
-            let n = warm.len();
-            (warm, CacheEffect::LatticeHit { warm: n })
+            let warm = run.proved.len();
+            (run.proved.clone(), CacheEffect::LatticeHit { warm })
         }
         CacheLookup::Miss => (Vec::new(), CacheEffect::Miss),
     };
 
-    let baseline = baseline
-        .get_or_insert_with(|| baseline_stats(netlist))
-        .clone();
-    let (na, candidates) = if cenv.mode.uncut() {
-        let (na, cands) = uncut_model.get_or_insert_with(|| {
-            let na = netlist_to_aig(netlist, &[]);
-            let cands = candidates_for_netlist(netlist, &na);
-            (na, cands)
-        });
-        (na.clone(), cands.clone())
-    } else {
-        let na = netlist_to_aig(netlist, &cut_nets_for(env));
-        let cands = candidates_for_netlist(netlist, &na);
-        (na, cands)
-    };
-
-    let res = run_prepared(
-        netlist, baseline, na, candidates, env, extras, &warm, config, governor,
-    )?;
+    let res = run_prepared(prepared, env, extras, &warm, config, governor)?;
     let mut proved: Vec<CandidateId> = res
         .proved_invariants
         .iter()
@@ -748,7 +748,7 @@ fn solve_cached(
         cache: effect,
         proved,
         summary,
-        result: Some(res),
+        result: Some(Box::new(res)),
     })
 }
 
@@ -1038,8 +1038,8 @@ mod tests {
                 extras: vec![],
             },
         ];
-        let outcomes = run_pdat_batch(&nl, &requests, &cfg, &Governor::unlimited(), &cache)
-            .expect("valid netlist");
+        let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
+        let outcomes = run_pdat_batch(&prepared, &requests, &cfg, &Governor::unlimited(), &cache);
         assert_eq!(outcomes.len(), 3);
         let reports: Vec<&SubsetReport> = outcomes
             .iter()
@@ -1087,14 +1087,14 @@ mod tests {
                 extras: vec![],
             },
         ];
+        let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
         let outcomes = run_pdat_batch(
-            &nl,
+            &prepared,
             &requests,
             &PdatConfig::default(),
             &Governor::unlimited(),
             &cache,
-        )
-        .expect("valid netlist");
+        );
         assert_eq!(outcomes.len(), 3);
         assert!(
             matches!(outcomes[1], Err(PdatError::UnboundConstraintNet { .. })),

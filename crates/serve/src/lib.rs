@@ -2,8 +2,8 @@
 //!
 //! The batch driver (`pdat::run_pdat_batch`) answers a closed set of
 //! requests and exits; this crate keeps a PDAT instance *resident*: one
-//! long-running service owns one netlist and one shared proof cache and
-//! answers subset requests submitted over time, surviving worker
+//! long-running service owns one `pdat::PreparedNetlist` and one shared
+//! proof cache, and answers subset requests over time, surviving worker
 //! crashes, per-request deadline blowouts, and interrupted cache saves.
 //!
 //! The dependency-free service loop is three pieces:

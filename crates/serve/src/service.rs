@@ -1,8 +1,11 @@
 //! The supervised, deadline-governed service loop.
 //!
-//! One [`PdatService`] owns one netlist and one shared [`ProofCache`] and
-//! drains a bounded request queue through a small worker pool:
+//! One [`PdatService`] owns one [`PreparedNetlist`] and one shared
+//! [`ProofCache`] and drains a bounded request queue through a small
+//! worker pool:
 //!
+//! * **Prepare once** — the baseline and the analysis model are built by
+//!   the first request that needs them and reused for the service's life.
 //! * **Admission control** — [`PdatService::submit`] refuses work with a
 //!   typed [`SubmitError::Overloaded`] when the queue is at capacity or
 //!   the service-wide conflict budget is spent, instead of queueing
@@ -34,10 +37,11 @@ use crate::queue::{BoundedQueue, TryPush};
 use crate::request::{
     OverloadReason, Reply, ServeRequest, SubmitError, Ticket,
 };
-use pdat::{run_pdat_batch, BatchRequest, PdatConfig, PdatError, ProofCache};
+use pdat::{run_pdat_batch, BatchRequest, PdatConfig, PdatError, PreparedNetlist, ProofCache};
 use pdat_cache::{load_cache_or_quarantine, save_cache_with_faults, LoadOutcome};
 use pdat_governor::{Cause, FaultPlan, Governor, GovernorConfig};
 use pdat_netlist::Netlist;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -100,7 +104,7 @@ impl Default for ServeConfig {
             request_conflict_budget: None,
             request_cycle_budget: None,
             backoff_base: Duration::from_millis(2),
-            seed: 0x5E57_1CE,
+            seed: 0x05E5_71CE,
             service_conflict_budget: None,
             cache_path: None,
             checkpoint_every: None,
@@ -184,7 +188,7 @@ struct Job {
 }
 
 struct Shared {
-    netlist: Netlist,
+    netlist: PreparedNetlist<'static>,
     cfg: ServeConfig,
     cache: ProofCache,
     queue: BoundedQueue<Job>,
@@ -217,7 +221,8 @@ pub struct PdatService {
 impl PdatService {
     /// Boot a service over `netlist`: validate it, load (or quarantine)
     /// the cache snapshot, spawn the worker pool, the supervisor, and —
-    /// when persistence is configured — the checkpointer.
+    /// when persistence is configured — the checkpointer. Nothing else is
+    /// built until a request needs it.
     ///
     /// # Errors
     ///
@@ -225,7 +230,7 @@ impl PdatService {
     /// a broken cache snapshot is *not* an error (the service starts
     /// cold and reports it in [`ServiceStats`]).
     pub fn start(netlist: Netlist, cfg: ServeConfig) -> Result<PdatService, PdatError> {
-        netlist.validate()?;
+        let netlist = PreparedNetlist::new(Cow::Owned(netlist))?;
         let cache = ProofCache::new();
         let counters = Counters::default();
         if let Some(path) = &cfg.cache_path {
@@ -413,7 +418,7 @@ impl Drop for PdatService {
 /// Outcome of one in-worker attempt.
 enum AttemptOutcome {
     /// Final answer; send it.
-    Reply(Reply),
+    Reply(Box<Reply>),
     /// Degraded; retry or exhaust.
     Retry(Cause),
 }
@@ -494,23 +499,17 @@ fn run_attempt(shared: &Shared, job: &Job) -> AttemptOutcome {
         env: job.req.env.as_env(),
         extras: job.req.extras.clone(),
     }];
-    let outcome = run_pdat_batch(
-        &shared.netlist,
-        &request,
-        &cfg.pdat,
-        &governor,
-        &shared.cache,
-    )
-    .map(|slots| slots.into_iter().next());
+    let outcome =
+        run_pdat_batch(&shared.netlist, &request, &cfg.pdat, &governor, &shared.cache).pop();
     shared
         .service_governor
         .charge_conflicts(governor.conflicts_used());
     match outcome {
-        Err(e) | Ok(Some(Err(e))) => AttemptOutcome::Reply(Reply::Rejected(e)),
+        Some(Err(e)) => AttemptOutcome::Reply(Box::new(Reply::Rejected(e))),
         // A batch fills one slot per request; an empty answer would be an
         // internal fault, so it is retried like one.
-        Ok(None) => AttemptOutcome::Retry(Cause::WorkerPanic),
-        Ok(Some(Ok(report))) => {
+        None => AttemptOutcome::Retry(Cause::WorkerPanic),
+        Some(Ok(report)) => {
             let first_degradation = report
                 .result
                 .as_ref()
@@ -518,7 +517,7 @@ fn run_attempt(shared: &Shared, job: &Job) -> AttemptOutcome {
             match first_degradation {
                 // Exact hits (`result` is `None`) answered nothing new
                 // and cannot have degraded; they are always clean.
-                None => AttemptOutcome::Reply(Reply::Done(report)),
+                None => AttemptOutcome::Reply(Box::new(Reply::Done(report))),
                 Some(cause) => AttemptOutcome::Retry(if faulted {
                     Cause::FaultInjected
                 } else {
@@ -566,7 +565,7 @@ fn retry_or_exhaust(shared: &Shared, mut job: Job, cause: Cause) {
 fn worker_loop(shared: &Shared) -> bool {
     while let Some(job) = shared.queue.pop() {
         match catch_unwind(AssertUnwindSafe(|| run_attempt(shared, &job))) {
-            Ok(AttemptOutcome::Reply(reply)) => send_reply(shared, job, reply),
+            Ok(AttemptOutcome::Reply(reply)) => send_reply(shared, job, *reply),
             Ok(AttemptOutcome::Retry(cause)) => retry_or_exhaust(shared, job, cause),
             Err(_) => {
                 // The attempt panicked (injected or organic). The job is

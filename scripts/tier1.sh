@@ -10,8 +10,8 @@
 #
 # The root Cargo.toml's `default-members` cover the root package and every
 # crate, and crates/bench/tests/gates.rs runs the panic lint and the
-# fault/prove/cache/serve smoke binaries, so the plain Tier-1 command below
-# is the whole gate.
+# fault/cache/serve smoke binaries, so the plain Tier-1 command below is the
+# whole gate.
 set -eu
 cd "$(dirname "$0")/.."
 

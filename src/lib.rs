@@ -11,8 +11,8 @@ pub use pdat::{
     save_cache_with_faults, thumb_canonical_forms, thumb_constraint, BatchRequest, CacheEffect,
     Candidate, CandidateId, CandidateKind, CanonicalEnv, CanonicalForm, Cause, ConstraintMode,
     DegradationEvent, Environment, EnvMode, ExtraRestriction, FaultPlan, Governor, GovernorConfig,
-    InstrConstraint, LoadOutcome, PdatConfig, PdatError, PdatResult, ProofCache, ProveConfig,
-    Stage, SubsetReport,
+    InstrConstraint, LoadOutcome, PdatConfig, PdatError, PdatResult, PreparedNetlist, ProofCache,
+    ProveConfig, Stage, SubsetReport,
 };
 pub use pdat_serve::{
     OverloadReason, OwnedEnvironment, PdatService, Reply, ServeConfig, ServeRequest, ServiceStats,

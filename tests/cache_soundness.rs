@@ -22,8 +22,9 @@ use pdat_repro::isa::RvSubset;
 use pdat_repro::netlist::{CellKind, NetId, Netlist};
 use pdat_repro::{
     run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect, ConstraintMode, Environment,
-    Governor, PdatConfig, ProofCache, SubsetReport,
+    Governor, PdatConfig, PreparedNetlist, ProofCache, SubsetReport,
 };
+use std::borrow::Cow;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -174,9 +175,9 @@ proptest! {
             .iter()
             .map(|s| BatchRequest { env: port_env(s, &port), extras: Vec::new() })
             .collect();
+        let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
         let warm: Vec<SubsetReport> =
-            run_pdat_batch(&nl, &requests, &config, &Governor::unlimited(), &shared)
-            .expect("warm batch")
+            run_pdat_batch(&prepared, &requests, &config, &Governor::unlimited(), &shared)
             .into_iter()
             .map(|r| r.expect("well-formed warm request"))
             .collect();

@@ -9,8 +9,10 @@ use pdat_repro::netlist::{CellKind, NetId, Netlist, Simulator};
 use pdat_repro::{
     run_pdat, run_pdat_batch, run_pdat_cached, BatchRequest, Candidate, CandidateKind,
     ConstraintMode, Environment, ExtraRestriction, Governor, OwnedEnvironment, PdatConfig,
-    PdatError, PdatResult, PdatService, ProofCache, Reply, ServeConfig, ServeRequest,
+    PdatError, PdatResult, PdatService, PreparedNetlist, ProofCache, Reply, ServeConfig,
+    ServeRequest,
 };
+use std::borrow::Cow;
 
 fn fast_config() -> PdatConfig {
     PdatConfig {
@@ -31,7 +33,7 @@ fn run_with(
     config: &PdatConfig,
 ) -> Result<PdatResult, PdatError> {
     let report = run_pdat_cached(nl, env, extras, config, &ProofCache::new())?;
-    Ok(report.result.expect("a fresh cache solves every request"))
+    Ok(*report.result.expect("a fresh cache solves every request"))
 }
 
 #[test]
@@ -323,14 +325,14 @@ fn batch_isolates_a_request_with_an_unknown_extra_net() {
         request(Vec::new()),
     ];
     let cache = ProofCache::new();
+    let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
     let slots = run_pdat_batch(
-        &nl,
+        &prepared,
         &requests,
         &fast_config(),
         &Governor::unlimited(),
         &cache,
-    )
-    .expect("valid netlist");
+    );
     assert_eq!(slots.len(), 3);
     assert_eq!(
         slots[1].as_ref().err(),

@@ -20,8 +20,9 @@ use pdat_repro::mc::{
 };
 use pdat_repro::{
     run_pdat, run_pdat_batch, BatchRequest, ConstraintMode, Environment, Governor, GovernorConfig,
-    PdatConfig, PdatResult, ProofCache, ProveConfig,
+    PdatConfig, PdatResult, PreparedNetlist, ProofCache, ProveConfig,
 };
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 fn config_with_threads(threads: usize) -> PdatConfig {
@@ -251,14 +252,14 @@ fn coi_prover_matches_full_encoding_bit_identical_on_keyed_design() {
         env: Environment::Unconstrained,
         extras: Vec::new(),
     }];
+    let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
     let res = run_pdat_batch(
-        &nl,
+        &prepared,
         &request,
         &prover_config(1),
         &armed_governor(),
         &ProofCache::new(),
     )
-    .expect("valid netlist")
     .pop()
     .and_then(|slot| slot.expect("valid request").result)
     .expect("a fresh cache solves the request");
