@@ -51,10 +51,6 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Learnt-clause retention cap of the prover's solver (see
-/// [`pdat_sat::Solver::set_clause_db_limit`]).
-const CLAUSE_DB_LIMIT: usize = 8192;
-
 /// Knobs of the prove stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProveConfig {
@@ -363,7 +359,6 @@ impl Prover {
         let t0 = Instant::now();
         let mut solver = Solver::new();
         solver.set_governor(governor.clone());
-        solver.set_clause_db_limit(CLAUSE_DB_LIMIT);
         let mut enc = ConeEncoder::new(aig, &mut solver);
         let c0 = enc.lit(&mut solver, 0, constraint);
         solver.add_clause(&[c0]);

@@ -5,7 +5,8 @@
 //! engine (`pdat-mc`) is built on: conflict-driven clause learning with
 //! two-watched-literal propagation, VSIDS-style activity decision
 //! heuristics, first-UIP learning, phase saving, Luby restarts, and
-//! incremental solving under assumptions.
+//! incremental solving under assumptions (a call places all of its
+//! assumptions on a single decision level).
 //!
 //! # Example
 //!
@@ -48,6 +49,28 @@ mod tests {
             return true;
         }
         false
+    }
+
+    /// n pigeons into m holes: Unsat whenever n > m, and hard for
+    /// resolution as n grows.
+    pub(crate) fn pigeonhole(n: usize, m: usize) -> Solver {
+        let mut s = Solver::new();
+        let p: Vec<Vec<Var>> = (0..n)
+            .map(|_| (0..m).map(|_| s.new_var()).collect())
+            .collect();
+        for pi in &p {
+            let c: Vec<Lit> = pi.iter().map(|&v| Lit::pos(v)).collect();
+            s.add_clause(&c);
+        }
+        for j in 0..m {
+            let hole: Vec<Var> = p.iter().map(|pi| pi[j]).collect();
+            for (i1, &a) in hole.iter().enumerate() {
+                for &b in &hole[i1 + 1..] {
+                    s.add_clause(&[Lit::neg(a), Lit::neg(b)]);
+                }
+            }
+        }
+        s
     }
 
     #[test]
@@ -103,44 +126,12 @@ mod tests {
 
     #[test]
     fn pigeonhole_3_into_2_unsat() {
-        // 3 pigeons, 2 holes. p[i][j] = pigeon i in hole j.
-        let mut s = Solver::new();
-        let p: Vec<Vec<Var>> = (0..3)
-            .map(|_| (0..2).map(|_| s.new_var()).collect())
-            .collect();
-        for i in 0..3 {
-            s.add_clause(&[Lit::pos(p[i][0]), Lit::pos(p[i][1])]);
-        }
-        for j in 0..2 {
-            for i1 in 0..3 {
-                for i2 in i1 + 1..3 {
-                    s.add_clause(&[Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(pigeonhole(3, 2).solve(), SolveResult::Unsat);
     }
 
     #[test]
     fn pigeonhole_5_into_4_unsat() {
-        let n = 5;
-        let m = 4;
-        let mut s = Solver::new();
-        let p: Vec<Vec<Var>> = (0..n)
-            .map(|_| (0..m).map(|_| s.new_var()).collect())
-            .collect();
-        for pi in p.iter() {
-            let c: Vec<Lit> = pi.iter().map(|&v| Lit::pos(v)).collect();
-            s.add_clause(&c);
-        }
-        for j in 0..m {
-            for i1 in 0..n {
-                for i2 in i1 + 1..n {
-                    s.add_clause(&[Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(pigeonhole(5, 4).solve(), SolveResult::Unsat);
     }
 
     #[test]
@@ -184,23 +175,7 @@ mod tests {
     #[test]
     fn conflict_budget_returns_unknown() {
         // A hard pigeonhole with a tiny budget must come back Unknown.
-        let n = 9;
-        let m = 8;
-        let mut s = Solver::new();
-        let p: Vec<Vec<Var>> = (0..n)
-            .map(|_| (0..m).map(|_| s.new_var()).collect())
-            .collect();
-        for pi in p.iter() {
-            let c: Vec<Lit> = pi.iter().map(|&v| Lit::pos(v)).collect();
-            s.add_clause(&c);
-        }
-        for j in 0..m {
-            for i1 in 0..n {
-                for i2 in i1 + 1..n {
-                    s.add_clause(&[Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
-                }
-            }
-        }
+        let mut s = pigeonhole(9, 8);
         s.set_conflict_budget(Some(10));
         assert_eq!(s.solve(), SolveResult::Unknown);
         s.set_conflict_budget(None);

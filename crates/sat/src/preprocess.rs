@@ -156,7 +156,6 @@ impl Solver {
         }
         // Preprocessing reasons about top-level facts only.
         self.cancel_until(0);
-        self.last_assumptions.clear();
         if self.propagate().is_some() {
             self.ok = false;
             return st.stats;

@@ -4,11 +4,11 @@
 //! thousands of closely-related queries against one formula, so
 //!
 //! - satisfying models are copied out of the search state (`value()` reads
-//!   the copy), which lets the solver keep its trail alive between calls
-//!   instead of rebuilding every assumption level from scratch;
-//! - consecutive `solve_with` calls reuse the longest common prefix of
-//!   their assumption lists (the trail is only unwound back to the first
-//!   assumption that changed);
+//!   the copy), so adding clauses after a Sat verdict cannot leak model
+//!   residue into clause simplification;
+//! - every assumption of a `solve_with` call sits on one shared decision
+//!   level, so a conflict backjumps over search decisions only and never
+//!   unplaces (and re-propagates) part of a long hypothesis list;
 //! - callers disable clause groups by flipping a *selector* assumption
 //!   ([`Solver::new_selector`] / [`Solver::add_guarded_clause`]) instead of
 //!   retiring activation variables with ever-growing clauses;
@@ -172,9 +172,6 @@ pub struct Solver {
     /// trail can survive between solve calls without model residue leaking
     /// into clause simplification.
     model: Vec<u8>,
-    /// Assumptions of the most recent solve call whose trail was kept; the
-    /// next call unwinds only to the longest common prefix.
-    last_assumptions: Vec<Lit>,
     // VSIDS
     activity: Vec<f64>,
     var_inc: f64,
@@ -227,7 +224,6 @@ impl Solver {
             trail_lim: Vec::new(),
             qhead: 0,
             model: Vec::new(),
-            last_assumptions: Vec::new(),
             activity: Vec::new(),
             var_inc: 1.0,
             heap: Vec::new(),
@@ -437,7 +433,6 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        self.last_assumptions.clear();
         // Simplify: dedup, drop false lits, detect tautology/true lits.
         let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
         let mut sorted = lits.to_vec();
@@ -818,12 +813,14 @@ impl Solver {
         self.solve_with(&[])
     }
 
-    /// Solve under temporary `assumptions` (asserted as pseudo-decisions).
+    /// Solve under temporary `assumptions`.
     ///
-    /// Incremental reuse: if the previous call ended Sat and no clause was
-    /// added since, the trail is unwound only to the longest common prefix
-    /// of the two assumption lists, so a long shared prefix (the Houdini
-    /// hypothesis set) is not re-propagated from scratch.
+    /// Every assumption is placed on one decision level (level 1) and
+    /// propagated once; the search decides above it. Backjumps and restarts
+    /// stop at level 1, so a long assumption list (the Houdini hypothesis
+    /// set) is placed once per call instead of being partly unplaced and
+    /// re-propagated after conflicts. The price is that the solver cannot
+    /// tell which assumptions an Unsat verdict used.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         if !self.ok {
             return SolveResult::Unsat;
@@ -837,16 +834,7 @@ impl Solver {
             return SolveResult::Unknown;
         }
         self.recompute_charge_batch();
-        // Unwind to the longest common assumption prefix with the kept
-        // trail (no-op when the previous call cleared it).
-        let mut prefix = 0;
-        while prefix < assumptions.len()
-            && prefix < self.last_assumptions.len()
-            && assumptions[prefix] == self.last_assumptions[prefix]
-        {
-            prefix += 1;
-        }
-        self.cancel_until(prefix as u32);
+        self.cancel_until(0);
         let mut restart_idx = 0u64;
         let result = loop {
             match self.search(assumptions, luby(restart_idx) * 100) {
@@ -860,23 +848,21 @@ impl Solver {
         };
         self.flush_governor_charges();
         if result == SolveResult::Sat {
-            // Snapshot the model for value(); keep the trail so the next
-            // call with a shared assumption prefix resumes cheaply.
+            // Snapshot the model for value(). The trail stays until the next
+            // add_clause or solve call unwinds it, so the model's phases are
+            // saved after any scramble_phases in between.
             self.model.clear();
             self.model.extend_from_slice(&self.assigns);
-            self.last_assumptions.clear();
-            self.last_assumptions.extend_from_slice(assumptions);
         } else {
-            // Unsat/Unknown may leave a conflict latent at the assumption
-            // levels whose watchers have already fired; a kept trail would
-            // hide it from future calls. Unwind fully.
+            // Nothing worth keeping from an Unsat or Unknown search.
             self.cancel_until(0);
-            self.last_assumptions.clear();
         }
         result
     }
 
     fn search(&mut self, assumptions: &[Lit], conflicts_before_restart: u64) -> SearchOutcome {
+        // The decision level holding every assumption (0: none).
+        let assumption_level = u32::from(!assumptions.is_empty());
         let mut local_conflicts = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
@@ -901,7 +887,7 @@ impl Solver {
                     self.ok = false;
                     return SearchOutcome::Unsat;
                 }
-                if self.decision_level() <= assumptions.len() as u32 {
+                if self.decision_level() <= assumption_level {
                     // Conflict under the assumptions alone.
                     return SearchOutcome::Unsat;
                 }
@@ -936,25 +922,20 @@ impl Solver {
                     }
                 }
                 if local_conflicts >= conflicts_before_restart
-                    && self.decision_level() > assumptions.len() as u32
+                    && self.decision_level() > assumption_level
                 {
-                    self.cancel_until(assumptions.len() as u32);
+                    self.cancel_until(assumption_level);
                     return SearchOutcome::Restart;
                 }
             } else {
-                // Place assumptions as successive decisions.
-                if (self.decision_level() as usize) < assumptions.len() {
-                    let a = assumptions[self.decision_level() as usize];
-                    match self.lit_value(a) {
-                        1 => {
-                            // Already true: open an empty decision level so
-                            // indices stay aligned.
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        0 => return SearchOutcome::Unsat,
-                        _ => {
-                            self.trail_lim.push(self.trail.len());
-                            self.unchecked_enqueue(a, None);
+                // Place every assumption on one level, then propagate.
+                if self.decision_level() < assumption_level {
+                    self.trail_lim.push(self.trail.len());
+                    for &a in assumptions {
+                        match self.lit_value(a) {
+                            1 => {}
+                            0 => return SearchOutcome::Unsat,
+                            _ => self.unchecked_enqueue(a, None),
                         }
                     }
                     continue;
@@ -1086,6 +1067,7 @@ pub use preprocess::PreprocessStats;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::pigeonhole;
 
     #[test]
     fn luby_sequence_prefix() {
@@ -1101,26 +1083,6 @@ mod tests {
         assert_eq!(!Lit::pos(v), Lit::neg(v));
         assert_eq!(Lit::pos(v).var(), v);
         assert_eq!(Lit::with_phase(v, false), Lit::neg(v));
-    }
-
-    /// Hard-enough UNSAT instance: n pigeons into m holes.
-    fn pigeonhole(n: usize, m: usize) -> Solver {
-        let mut s = Solver::new();
-        let p: Vec<Vec<Var>> = (0..n)
-            .map(|_| (0..m).map(|_| s.new_var()).collect())
-            .collect();
-        for pi in p.iter() {
-            let c: Vec<Lit> = pi.iter().map(|&v| Lit::pos(v)).collect();
-            s.add_clause(&c);
-        }
-        for j in 0..m {
-            for i1 in 0..n {
-                for i2 in i1 + 1..n {
-                    s.add_clause(&[Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
-                }
-            }
-        }
-        s
     }
 
     #[test]
@@ -1290,8 +1252,8 @@ mod tests {
     #[test]
     fn assumption_prefix_reuse_is_sound_across_verdict_flips() {
         // Shared prefix [a]; the suffix flips between compatible and
-        // contradictory assumptions. The kept trail must never leak a
-        // stale verdict.
+        // contradictory assumptions. The trail a call leaves behind must
+        // never leak a stale verdict into the next call.
         let mut s = Solver::new();
         let a = s.new_var();
         let b = s.new_var();
@@ -1307,6 +1269,36 @@ mod tests {
             s.solve_with(&[Lit::pos(a), Lit::neg(c), Lit::neg(b)]),
             SolveResult::Unsat
         );
+        assert_eq!(s.solve(), SolveResult::Sat);
+    }
+
+    #[test]
+    fn assumptions_on_one_level_conflict_with_each_other() {
+        // Both assumptions share one decision level: the conflict between
+        // them is a conflict under the assumptions, not a learnt backjump.
+        let mut s = Solver::new();
+        let a = s.new_var();
+        let b = s.new_var();
+        s.add_clause(&[Lit::neg(a), Lit::neg(b)]);
+        assert_eq!(
+            s.solve_with(&[Lit::pos(a), Lit::pos(b)]),
+            SolveResult::Unsat
+        );
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.value(a) != Some(true) || s.value(b) != Some(true));
+        // A literal and its complement: the second one is already false.
+        assert_eq!(
+            s.solve_with(&[Lit::pos(a), Lit::neg(a)]),
+            SolveResult::Unsat
+        );
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.solve_with(&[Lit::pos(a)]), SolveResult::Sat);
+        assert_eq!(s.value(b), Some(false));
+        // Assumptions already fixed at level 0 are skipped or refuted.
+        assert!(s.add_clause(&[Lit::pos(b)]));
+        assert_eq!(s.solve_with(&[Lit::pos(b), Lit::pos(b)]), SolveResult::Sat);
+        assert_eq!(s.value(a), Some(false));
+        assert_eq!(s.solve_with(&[Lit::neg(b)]), SolveResult::Unsat);
         assert_eq!(s.solve(), SolveResult::Sat);
     }
 

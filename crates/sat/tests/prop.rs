@@ -1,6 +1,6 @@
 //! Property-based tests: the CDCL solver agrees with brute force on random
 //! CNF, models satisfy all clauses, and assumptions behave like temporary
-//! unit clauses.
+//! unit clauses, also across interleaved solve and add_clause calls.
 
 use pdat_sat::{Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
@@ -118,6 +118,54 @@ proptest! {
                 pped.solve_with(&a2),
                 "assumption query diverged on {:?}", restricted
             );
+        }
+    }
+
+    #[test]
+    fn solve_sequences_agree_with_brute_force(
+        clauses in clauses_strategy(6),
+        steps in prop::collection::vec(
+            (
+                prop::collection::vec((0usize..6, any::<bool>()), 0..3),
+                prop::collection::vec((0usize..6, any::<bool>()), 0..13),
+            ),
+            1..7,
+        ),
+    ) {
+        // Each step adds a random clause (none when empty), then solves
+        // under up to 12 assumptions. Short clauses over 6 variables fix
+        // literals at level 0, and long assumption lists repeat and
+        // contradict themselves. Every verdict must equal brute force over
+        // the clauses so far plus the assumptions as units.
+        let (mut s, vars, mut ok) = build_solver(6, &clauses);
+        let mut clauses = clauses;
+        for (extra, assum) in &steps {
+            if !extra.is_empty() {
+                let lits: Vec<Lit> = extra
+                    .iter()
+                    .map(|&(v, pos)| Lit::with_phase(vars[v], pos))
+                    .collect();
+                ok &= s.add_clause(&lits);
+                clauses.push(extra.clone());
+            }
+            if !ok {
+                prop_assert!(brute_force(6, &clauses).is_none(), "conflict at add but satisfiable");
+            }
+            let alits: Vec<Lit> = assum.iter().map(|&(v, p)| Lit::with_phase(vars[v], p)).collect();
+            let got = s.solve_with(&alits);
+            let mut with_units = clauses.clone();
+            with_units.extend(assum.iter().map(|&a| vec![a]));
+            let expected = brute_force(6, &with_units);
+            prop_assert_eq!(got == SolveResult::Sat, expected.is_some(), "assumptions {:?}", assum);
+            prop_assert!(got != SolveResult::Unknown);
+            if got == SolveResult::Sat {
+                for c in &with_units {
+                    prop_assert!(
+                        c.iter().any(|&(v, pos)| s.value(vars[v]) == Some(pos)),
+                        "model violates clause or assumption {:?}", c
+                    );
+                }
+            }
         }
     }
 
