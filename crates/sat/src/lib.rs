@@ -4,9 +4,10 @@
 //! core; this crate provides the complete decision procedure the invariant
 //! engine (`pdat-mc`) is built on: conflict-driven clause learning with
 //! two-watched-literal propagation, VSIDS-style activity decision
-//! heuristics, first-UIP learning, phase saving, Luby restarts, and
+//! heuristics, first-UIP learning, chronological backtracking (a conflict
+//! undoes only its own decision level), phase saving, Luby restarts, and
 //! incremental solving under assumptions (a call places all of its
-//! assumptions on a single decision level).
+//! assumptions on a single decision level that no conflict undoes).
 //!
 //! # Example
 //!

@@ -7,8 +7,13 @@
 //!   the copy), so adding clauses after a Sat verdict cannot leak model
 //!   residue into clause simplification;
 //! - every assumption of a `solve_with` call sits on one shared decision
-//!   level, so a conflict backjumps over search decisions only and never
-//!   unplaces (and re-propagates) part of a long hypothesis list;
+//!   level, and a conflict never backtracks below it;
+//! - backtracking is *chronological* (Nadel & Ryvchin, SAT 2018; Möhle &
+//!   Biere, SAT 2019): an implied literal takes the highest level of its
+//!   reason, a conflict undoes only its own decision level, and the
+//!   asserting literal is placed at its true (lower) level out of order,
+//!   so the levels a conflict did not use stay on the trail instead of
+//!   being re-decided and re-propagated;
 //! - callers disable clause groups by flipping a *selector* assumption
 //!   ([`Solver::new_selector`] / [`Solver::add_guarded_clause`]) instead of
 //!   retiring activation variables with ever-growing clauses;
@@ -505,13 +510,36 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
+    /// Assign `l` at the current decision level (decisions, assumptions
+    /// and level-0 facts).
     fn unchecked_enqueue(&mut self, l: Lit, from: Option<ClauseRef>) {
+        self.assign(l, self.decision_level(), from);
+    }
+
+    /// Assign `l` at `lvl`, which may lie below the current decision
+    /// level: the trail is ordered by assignment time, not by level.
+    fn assign(&mut self, l: Lit, lvl: u32, from: Option<ClauseRef>) {
         debug_assert_eq!(self.lit_value(l), LBOOL_UNDEF);
         let v = l.var();
         self.assigns[v.index()] = u8::from(l.is_pos());
-        self.level[v.index()] = self.decision_level();
+        self.level[v.index()] = lvl;
         self.reason[v.index()] = from;
         self.trail.push(l);
+    }
+
+    /// Level of a literal implied by clause `cref` (whose other literals
+    /// are all false): the highest level among them. `p` is the literal
+    /// whose propagation made the clause unit; when it sits on the current
+    /// decision level no other literal can be higher.
+    fn implied_level(&self, cref: ClauseRef, p: Lit) -> u32 {
+        let lp = self.level[p.var().index()];
+        if lp == self.decision_level() {
+            return lp;
+        }
+        self.clauses[cref as usize].lits[1..]
+            .iter()
+            .map(|q| self.level[q.var().index()])
+            .fold(lp, u32::max)
     }
 
     /// Two-watched-literal propagation. Returns a conflicting clause ref.
@@ -530,7 +558,9 @@ impl Solver {
                 match self.lit_value(w.blocker) {
                     1 => {}
                     0 => {
-                        self.qhead = self.trail.len();
+                        // Leave p queued: a backtrack that keeps it
+                        // propagates it again.
+                        self.qhead -= 1;
                         return Some(w.cref);
                     }
                     _ => {
@@ -540,7 +570,8 @@ impl Solver {
                         if c.lits[0] != w.blocker {
                             c.lits.swap(0, 1);
                         }
-                        self.unchecked_enqueue(w.blocker, Some(w.cref));
+                        let lvl = self.level[p.var().index()];
+                        self.assign(w.blocker, lvl, Some(w.cref));
                     }
                 }
             }
@@ -595,10 +626,11 @@ impl Solver {
                 // No new watch: clause is unit or conflicting.
                 if self.lit_value(first) == 0 {
                     conflict = Some(cref);
-                    self.qhead = self.trail.len();
+                    self.qhead -= 1;
                     break;
                 } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    let lvl = self.implied_level(cref, p);
+                    self.assign(first, lvl, Some(cref));
                     watch[i].blocker = first;
                     i += 1;
                 }
@@ -639,34 +671,41 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis. Returns (learnt clause, backtrack
-    /// level, LBD of the learnt clause).
+    /// First-UIP conflict analysis over the literals of the current
+    /// decision level, which must be the conflict's level (the highest
+    /// level in `conflict`). Returns (learnt clause, level its asserting
+    /// literal belongs on, LBD of the learnt clause); the learnt clause's
+    /// highest-level other literal sits at position 1, so it is watched.
     fn analyze(&mut self, mut conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
+        let conflict_level = self.decision_level();
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 for the asserting lit
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         loop {
             self.cla_bump(conflict);
-            let lits: Vec<Lit> = self.clauses[conflict as usize].lits.clone();
             let start = usize::from(p.is_some());
-            for &q in &lits[start..] {
+            for k in start..self.clauses[conflict as usize].lits.len() {
+                let q = self.clauses[conflict as usize].lits[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
                     self.var_bump(v);
-                    if self.level[v.index()] >= self.decision_level() {
+                    if self.level[v.index()] == conflict_level {
                         counter += 1;
                     } else {
                         learnt.push(q);
                     }
                 }
             }
-            // Pick next literal to expand from the trail.
+            // Pick the next literal of the conflict level to expand. The
+            // trail is not sorted by level: lower-level literals already
+            // in `learnt` may sit above it, and are skipped.
             loop {
                 index -= 1;
                 let l = self.trail[index];
-                if self.seen[l.var().index()] {
+                let v = l.var().index();
+                if self.seen[v] && self.level[v] == conflict_level {
                     p = Some(l);
                     break;
                 }
@@ -699,7 +738,7 @@ impl Solver {
         for &l in &learnt {
             self.seen[l.var().index()] = false;
         }
-        let learnt = minimized;
+        let mut learnt = minimized;
         // LBD: distinct decision levels in the minimized clause, computed
         // before backtracking (levels are still the learning-time ones).
         self.lbd_gen += 1;
@@ -711,8 +750,9 @@ impl Solver {
                 lbd += 1;
             }
         }
-        // Backtrack level: second-highest level in the clause.
-        let bt = if learnt.len() == 1 {
+        // Asserting level: the highest level among the other literals,
+        // whose literal moves to watch position 1.
+        let asserting_level = if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
@@ -721,19 +761,30 @@ impl Solver {
                     max_i = i;
                 }
             }
-            self.level[learnt[max_i].var().index()]
+            learnt.swap(1, max_i);
+            self.level[learnt[1].var().index()]
         };
-        (learnt, bt, lbd)
+        (learnt, asserting_level, lbd)
     }
 
+    /// Undo every assignment above level `lvl`. Assignments at or below
+    /// `lvl` that sit above the level's trail mark (placed out of order)
+    /// stay, compacted down, and are queued again: a clause they falsified
+    /// may have been satisfied by a literal this backtrack undoes.
     fn cancel_until(&mut self, lvl: u32) {
         if self.decision_level() <= lvl {
             return;
         }
-        let lim = self.trail_lim[lvl as usize];
-        for i in (lim..self.trail.len()).rev() {
+        let mark = self.trail_lim[lvl as usize];
+        let mut kept = mark;
+        for i in mark..self.trail.len() {
             let l = self.trail[i];
             let v = l.var();
+            if self.level[v.index()] <= lvl {
+                self.trail[kept] = l;
+                kept += 1;
+                continue;
+            }
             self.assigns[v.index()] = LBOOL_UNDEF;
             self.polarity[v.index()] = l.is_pos();
             self.reason[v.index()] = None;
@@ -741,9 +792,9 @@ impl Solver {
                 self.heap_insert(v);
             }
         }
-        self.trail.truncate(lim);
+        self.trail.truncate(kept);
         self.trail_lim.truncate(lvl as usize);
-        self.qhead = self.trail.len();
+        self.qhead = self.qhead.min(mark);
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
@@ -816,11 +867,14 @@ impl Solver {
     /// Solve under temporary `assumptions`.
     ///
     /// Every assumption is placed on one decision level (level 1) and
-    /// propagated once; the search decides above it. Backjumps and restarts
-    /// stop at level 1, so a long assumption list (the Houdini hypothesis
-    /// set) is placed once per call instead of being partly unplaced and
-    /// re-propagated after conflicts. The price is that the solver cannot
-    /// tell which assumptions an Unsat verdict used.
+    /// propagated once; the search decides above it. A conflict at or
+    /// below level 1 is Unsat; any other conflict undoes only its own
+    /// level (chronological backtracking), and restarts stop at level 1.
+    /// So a long assumption list (the Houdini hypothesis set) is placed
+    /// once per call, and the decisions a conflict did not use are not
+    /// re-decided. A learnt unit is assigned at level 0 where the search
+    /// stands and outlives the call. The price of the single level is that
+    /// the solver cannot tell which assumptions an Unsat verdict used.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         if !self.ok {
             return SolveResult::Unsat;
@@ -860,6 +914,43 @@ impl Solver {
         result
     }
 
+    /// Handle conflicting clause `confl`; returns `false` for Unsat. The
+    /// conflict's level is the highest level in the clause, which may lie
+    /// below the current decision level. At level 0 the formula itself is
+    /// unsatisfiable, permanently: latching that is required for
+    /// incremental reuse (the violated clause's watchers have already
+    /// fired and will not fire again). At or below `assumption_level` it is
+    /// a conflict under the assumptions alone. Otherwise the solver learns
+    /// at the conflict level, undoes that level only, and assigns the
+    /// asserting literal at its own level; a learnt unit goes to level 0
+    /// in place.
+    fn learn_from(&mut self, confl: ClauseRef, assumption_level: u32) -> bool {
+        let conflict_level = self.clauses[confl as usize]
+            .lits
+            .iter()
+            .map(|q| self.level[q.var().index()])
+            .max()
+            .unwrap_or(0);
+        if conflict_level == 0 {
+            self.ok = false;
+            return false;
+        }
+        if conflict_level <= assumption_level {
+            return false;
+        }
+        self.cancel_until(conflict_level);
+        let (learnt, asserting_level, lbd) = self.analyze(confl);
+        self.cancel_until(conflict_level - 1);
+        let asserting = learnt[0];
+        let from = if learnt.len() == 1 {
+            None
+        } else {
+            Some(self.attach_clause(learnt, true, lbd))
+        };
+        self.assign(asserting, asserting_level, from);
+        true
+    }
+
     fn search(&mut self, assumptions: &[Lit], conflicts_before_restart: u64) -> SearchOutcome {
         // The decision level holding every assumption (0: none).
         let assumption_level = u32::from(!assumptions.is_empty());
@@ -879,36 +970,8 @@ impl Solver {
                         self.recompute_charge_batch();
                     }
                 }
-                if self.decision_level() == 0 {
-                    // Root-level conflict: the formula itself is
-                    // unsatisfiable, permanently. Latching this is required
-                    // for incremental reuse (the violated clause's watchers
-                    // have already fired and will not fire again).
-                    self.ok = false;
+                if !self.learn_from(confl, assumption_level) {
                     return SearchOutcome::Unsat;
-                }
-                if self.decision_level() <= assumption_level {
-                    // Conflict under the assumptions alone.
-                    return SearchOutcome::Unsat;
-                }
-                let (learnt, bt, lbd) = self.analyze(confl);
-                self.cancel_until(bt);
-                if learnt.len() == 1 {
-                    if self.decision_level() > 0 {
-                        // Re-assert below: cancel to a level where it's free.
-                        self.cancel_until(0);
-                    }
-                    if self.lit_value(learnt[0]) == 0 {
-                        // Contradicts a root-level fact: permanently unsat.
-                        self.ok = false;
-                        return SearchOutcome::Unsat;
-                    }
-                    if self.lit_value(learnt[0]) == LBOOL_UNDEF {
-                        self.unchecked_enqueue(learnt[0], None);
-                    }
-                } else {
-                    let cref = self.attach_clause(learnt.clone(), true, lbd);
-                    self.unchecked_enqueue(learnt[0], Some(cref));
                 }
                 self.var_decay();
                 self.cla_inc *= 1.001;
@@ -1034,6 +1097,7 @@ impl Solver {
     }
 }
 
+#[derive(Debug, PartialEq, Eq)]
 enum SearchOutcome {
     Sat,
     Unsat,
@@ -1300,6 +1364,105 @@ mod tests {
         assert_eq!(s.value(a), Some(false));
         assert_eq!(s.solve_with(&[Lit::neg(b)]), SolveResult::Unsat);
         assert_eq!(s.solve(), SolveResult::Sat);
+    }
+
+    /// Open a decision level and assign `l` on it, without propagating.
+    fn decide(s: &mut Solver, l: Lit) {
+        s.trail_lim.push(s.trail.len());
+        s.unchecked_enqueue(l, None);
+    }
+
+    #[test]
+    fn conflict_keeps_the_levels_below_it() {
+        // Decisions a, b, x on levels 1, 2, 3; x conflicts with a alone.
+        // The learnt clause (¬a ∨ ¬x) asserts ¬x on level 1, but only
+        // level 3 is undone: b keeps its level and trail slot, and ¬x is
+        // placed above it, out of order.
+        let mut s = Solver::new();
+        let [a, b, x, y] = [(); 4].map(|_| s.new_var());
+        s.add_clause(&[Lit::neg(a), Lit::neg(x), Lit::pos(y)]);
+        s.add_clause(&[Lit::neg(a), Lit::neg(x), Lit::neg(y)]);
+        decide(&mut s, Lit::pos(a));
+        assert!(s.propagate().is_none());
+        decide(&mut s, Lit::pos(b));
+        assert!(s.propagate().is_none());
+        decide(&mut s, Lit::pos(x));
+        let confl = s.propagate().expect("x conflicts under a");
+        assert!(s.learn_from(confl, 0));
+        assert_eq!(s.decision_level(), 2);
+        assert_eq!(s.trail, vec![Lit::pos(a), Lit::pos(b), Lit::neg(x)]);
+        assert_eq!(s.level[b.index()], 2);
+        assert_eq!(s.level[x.index()], 1);
+        assert!(s.reason[x.index()].is_some());
+        assert_eq!(s.lit_value(Lit::pos(y)), LBOOL_UNDEF);
+        assert_eq!(s.search(&[], 100), SearchOutcome::Sat);
+        assert_eq!(s.lit_value(Lit::neg(x)), 1);
+    }
+
+    #[test]
+    fn learnt_unit_goes_to_level_zero_in_place() {
+        // With assumption a placed, the first decision x refutes itself:
+        // the learnt unit ¬x is assigned at level 0 where the search
+        // stands, so a never leaves its trail slot.
+        let mut s = Solver::new();
+        let [a, b, x, y] = [(); 4].map(|_| s.new_var());
+        s.add_clause(&[Lit::neg(a), Lit::pos(b)]);
+        s.add_clause(&[Lit::neg(x), Lit::pos(y)]);
+        s.add_clause(&[Lit::neg(x), Lit::neg(y)]);
+        s.prioritize(&[Lit::pos(x)]);
+        assert_eq!(s.solve_with(&[Lit::pos(a)]), SolveResult::Sat);
+        assert_eq!(s.conflicts_last_solve(), 1);
+        assert_eq!(s.trail[..3], [Lit::pos(a), Lit::pos(b), Lit::neg(x)]);
+        assert_eq!(s.level[a.index()], 1);
+        assert_eq!(s.level[x.index()], 0);
+        assert_eq!(s.value(x), Some(false));
+        // The unit is a fact: it survives the next add_clause's unwind
+        // and refutes an assumption of x.
+        assert!(s.add_clause(&[Lit::pos(b), Lit::pos(y)]));
+        assert_eq!(s.trail, vec![Lit::neg(x)]);
+        assert_eq!(s.level[x.index()], 0);
+        assert_eq!(
+            s.solve_with(&[Lit::pos(a), Lit::pos(x)]),
+            SolveResult::Unsat
+        );
+        assert_eq!(s.solve_with(&[Lit::pos(a)]), SolveResult::Sat);
+        assert_eq!(s.value(x), Some(false));
+        assert_eq!(s.conflicts_last_solve(), 0);
+    }
+
+    #[test]
+    fn conflict_below_the_decision_level_is_analysed_at_its_own_level() {
+        // Decide a and then b without propagating a: a's implications
+        // (y and ¬y) meet on level 1 while the solver stands on level 2,
+        // a lower implication the search missed. The conflict is
+        // analysed on level 1, which gives the fact ¬a.
+        let build = |unsat: bool| {
+            let mut s = Solver::new();
+            let [a, b, y, z] = [(); 4].map(|_| s.new_var());
+            s.add_clause(&[Lit::neg(a), Lit::pos(y)]);
+            s.add_clause(&[Lit::neg(a), Lit::neg(y)]);
+            if unsat {
+                s.add_clause(&[Lit::pos(a), Lit::pos(z)]);
+                s.add_clause(&[Lit::pos(a), Lit::neg(z)]);
+            }
+            decide(&mut s, Lit::pos(a));
+            decide(&mut s, Lit::pos(b));
+            (s, a, b)
+        };
+        let (mut s, a, b) = build(false);
+        let confl = s.propagate().expect("a refutes itself");
+        assert!(s.learn_from(confl, 0));
+        assert_eq!(s.decision_level(), 0);
+        assert_eq!(s.trail, vec![Lit::neg(a)]);
+        assert_eq!(s.level[a.index()], 0);
+        assert_eq!(s.lit_value(Lit::pos(b)), LBOOL_UNDEF);
+        assert_eq!(s.search(&[], 100), SearchOutcome::Sat);
+        assert_eq!(s.lit_value(Lit::neg(a)), 1);
+        // With ¬a refuted too, the fact ends the search: Unsat, latched.
+        let (mut s, _, _) = build(true);
+        assert_eq!(s.search(&[], 100), SearchOutcome::Unsat);
+        assert!(!s.ok);
+        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]

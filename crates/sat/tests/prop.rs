@@ -27,6 +27,49 @@ fn brute_force(nvars: usize, clauses: &[Vec<(usize, bool)>]) -> Option<u64> {
     None
 }
 
+/// Brute force over `nvars` variables with the literals of `units` fixed:
+/// a model, or `None`. Clauses become bit masks and only the free
+/// variables are enumerated, so 14 variables stay cheap.
+fn brute_force_under(
+    nvars: usize,
+    clauses: &[Vec<(usize, bool)>],
+    units: &[(usize, bool)],
+) -> Option<u64> {
+    let (mut fixed, mut values) = (0u64, 0u64);
+    for &(v, pos) in units {
+        if fixed >> v & 1 == 1 && (values >> v & 1 == 1) != pos {
+            return None;
+        }
+        fixed |= 1 << v;
+        values |= u64::from(pos) << v;
+    }
+    let masks: Vec<(u64, u64)> = clauses
+        .iter()
+        .map(|c| {
+            c.iter().fold((0, 0), |(p, n), &(v, pos)| {
+                if pos {
+                    (p | 1 << v, n)
+                } else {
+                    (p, n | 1 << v)
+                }
+            })
+        })
+        .collect();
+    let free = ((1u64 << nvars) - 1) & !fixed;
+    let mut sub = 0u64;
+    loop {
+        let bits = values | sub;
+        if masks.iter().all(|&(p, n)| bits & p != 0 || !bits & n != 0) {
+            return Some(bits);
+        }
+        if sub == free {
+            return None;
+        }
+        // Next subset of `free` in counting order.
+        sub = sub.wrapping_sub(free) & free;
+    }
+}
+
 fn build_solver(nvars: usize, clauses: &[Vec<(usize, bool)>]) -> (Solver, Vec<Var>, bool) {
     let mut s = Solver::new();
     let vars: Vec<Var> = (0..nvars).map(|_| s.new_var()).collect();
@@ -178,5 +221,61 @@ proptest! {
         let _ = s.solve_with(&[Lit::pos(vars[0]), Lit::neg(vars[0])]);
         let again = s.solve();
         prop_assert_eq!(base, again, "assumption retraction broke the solver");
+    }
+}
+
+proptest! {
+    // Cases are cheap (well under 1 ms each), and the states where a
+    // backtrack keeps unpropagated literals are rare, so draw many.
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn deep_solve_sequences_agree_with_brute_force(
+        clauses in prop::collection::vec(
+            prop::collection::vec((0usize..14, any::<bool>()), 3..4),
+            56..64,
+        ),
+        steps in prop::collection::vec(
+            (
+                prop::collection::vec((0usize..14, any::<bool>()), 0..4),
+                prop::collection::vec((0usize..14, any::<bool>()), 0..21),
+            ),
+            1..7,
+        ),
+    ) {
+        // Random 3-CNF over 14 variables near the satisfiability threshold
+        // (about 4.26 clauses per variable): searches run many decision
+        // levels deep, so conflicts land below the decision level and
+        // backtracking keeps literals placed out of order. Each step adds
+        // a random clause (none when empty) and solves under up to 20
+        // assumptions; every verdict and model must match brute force.
+        let (mut s, vars, mut ok) = build_solver(14, &clauses);
+        let mut clauses = clauses;
+        for (extra, assum) in &steps {
+            if !extra.is_empty() {
+                let lits: Vec<Lit> = extra
+                    .iter()
+                    .map(|&(v, pos)| Lit::with_phase(vars[v], pos))
+                    .collect();
+                ok &= s.add_clause(&lits);
+                clauses.push(extra.clone());
+            }
+            if !ok {
+                prop_assert!(brute_force_under(14, &clauses, &[]).is_none(), "conflict at add but satisfiable");
+            }
+            let alits: Vec<Lit> = assum.iter().map(|&(v, p)| Lit::with_phase(vars[v], p)).collect();
+            let got = s.solve_with(&alits);
+            let expected = brute_force_under(14, &clauses, assum);
+            prop_assert_eq!(got == SolveResult::Sat, expected.is_some(), "assumptions {:?}", assum);
+            prop_assert!(got != SolveResult::Unknown);
+            if got == SolveResult::Sat {
+                for c in clauses.iter().map(Vec::as_slice).chain(assum.chunks(1)) {
+                    prop_assert!(
+                        c.iter().any(|&(v, pos)| s.value(vars[v]) == Some(pos)),
+                        "model violates clause or assumption {:?}", c
+                    );
+                }
+            }
+        }
     }
 }
