@@ -53,11 +53,6 @@ impl<'a> FrameEncoder<'a> {
         }
     }
 
-    /// The always-true SAT literal.
-    pub fn true_lit(&self) -> Lit {
-        self.true_lit
-    }
-
     /// SAT literals for the reset state (constants per latch init value).
     pub fn initial_state(&self) -> Vec<Lit> {
         self.aig
@@ -191,11 +186,6 @@ impl<'a> ConeEncoder<'a> {
             ands: [0, 0],
             stack: Vec::new(),
         }
-    }
-
-    /// The always-true SAT literal.
-    pub fn true_lit(&self) -> Lit {
-        self.true_lit
     }
 
     /// Fresh frame-0 latch state literals created so far, in creation order.

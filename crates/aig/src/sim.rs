@@ -433,9 +433,9 @@ mod tests {
         };
         for cycle in 0..12 {
             let mut inputs = [[0u64; SIM_WIDTH]; 2];
-            for i in 0..2 {
-                for w in 0..SIM_WIDTH {
-                    inputs[i][w] = next();
+            for input in inputs.iter_mut() {
+                for word in input.iter_mut() {
+                    *word = next();
                 }
             }
             wide.eval(&inputs);

@@ -30,31 +30,31 @@ use pdat_netlist::{CellKind, NetId, Netlist};
 /// proved set genuinely varies along the subset lattice.
 fn detector_core() -> (Netlist, Vec<NetId>) {
     let mut nl = Netlist::new("rvdet");
-    let port: Vec<NetId> = (0..32).map(|b| nl.add_input(&format!("i{b}"))).collect();
+    let port: Vec<NetId> = (0..32).map(|b| nl.add_input(format!("i{b}"))).collect();
     for instr in [RvInstr::Add, RvInstr::Sub, RvInstr::Jalr] {
         let p = instr.pattern();
         let tag = format!("{instr:?}").to_lowercase();
         let mut acc: Option<NetId> = None;
-        for b in 0..32 {
+        for (b, &pin) in port.iter().enumerate() {
             if p.mask >> b & 1 == 0 {
                 continue;
             }
             let bit = if p.value >> b & 1 == 1 {
-                port[b]
+                pin
             } else {
-                nl.add_cell(CellKind::Inv, &[port[b]], &format!("{tag}_n{b}"))
+                nl.add_cell(CellKind::Inv, &[pin], format!("{tag}_n{b}"))
             };
             acc = Some(match acc {
                 None => bit,
-                Some(a) => nl.add_cell(CellKind::And2, &[a, bit], &format!("{tag}_a{b}")),
+                Some(a) => nl.add_cell(CellKind::And2, &[a, bit], format!("{tag}_a{b}")),
             });
         }
         let det = acc.expect("pattern has masked bits");
-        let fb = nl.add_net(&format!("{tag}_fb"));
-        let q = nl.add_dff(fb, false, &format!("{tag}_seen"));
-        let sticky = nl.add_cell(CellKind::Or2, &[q, det], &format!("{tag}_sticky"));
+        let fb = nl.add_net(format!("{tag}_fb"));
+        let q = nl.add_dff(fb, false, format!("{tag}_seen"));
+        let sticky = nl.add_cell(CellKind::Or2, &[q, det], format!("{tag}_sticky"));
         nl.assign_alias(fb, sticky);
-        nl.add_output(&format!("saw_{tag}"), sticky);
+        nl.add_output(format!("saw_{tag}"), sticky);
     }
     (nl, port)
 }

@@ -113,7 +113,7 @@ fn main() {
         arm_hits[3] += usize::from(p.worker_panic_on_request.is_some());
         arm_hits[4] += usize::from(p.deadline_fuse.is_some());
     }
-    if arm_hits.iter().any(|&n| n == 0) {
+    if arm_hits.contains(&0) {
         let _ = std::panic::take_hook();
         eprintln!("FAIL: from_seed never arms some fault arm in 64 seeds: {arm_hits:?}");
         std::process::exit(1);

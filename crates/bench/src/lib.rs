@@ -1,6 +1,6 @@
 //! Experiment harness for the PDAT reproduction: shared machinery behind
 //! the `table1`, `table2`, `fig5`, `fig6`, and `fig7` binaries (one per
-//! table/figure in the paper's evaluation) and the Criterion benches.
+//! table/figure in the paper's evaluation).
 
 use pdat::{run_pdat, ConstraintMode, Environment, PdatConfig, PdatResult};
 use pdat_cores::{build_cortexm0, build_ibex, build_ridecore, obfuscate, ObfuscateConfig};

@@ -35,10 +35,8 @@ pub struct PdatConfig {
     /// Independent 64-lane simulation blocks per falsification run. Part of
     /// the deterministic result identity (together with `seed`).
     pub lane_blocks: usize,
-    /// Worker threads for the falsification stage. Never changes results,
-    /// only wall time. Work is split into chunks of `SIM_WIDTH` = 4 lane
-    /// blocks, so at most `min(sim_threads, ceil(lane_blocks / 4))`
-    /// workers run — one at the defaults.
+    /// Not read; kept because perfbench sets it. The falsification stage
+    /// runs on the calling thread.
     pub sim_threads: usize,
     /// Restart a lane block from reset when fewer than this many lanes
     /// still satisfy the environment constraint.
@@ -62,8 +60,8 @@ pub struct PdatConfig {
     /// run (on top of the per-query `conflict_budget`). Deterministic.
     pub global_conflict_budget: Option<u64>,
     /// Global simulated-cycle budget (cycles × live lanes) for the
-    /// falsification stage. Deterministic: apportioned per lane block in
-    /// fixed order regardless of thread count.
+    /// falsification stage. Deterministic: apportioned per chunk of lane
+    /// blocks in chunk order.
     pub global_cycle_budget: Option<u64>,
     /// Deterministic fault-injection plan for robustness testing. Empty by
     /// default (no faults).

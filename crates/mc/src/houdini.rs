@@ -29,7 +29,7 @@
 //! free inputs/state and can always be extended), and Houdini's fixpoint
 //! is unique, so the proved set is bit-identical to a plain full-encoding
 //! Houdini's — the test-only oracle in `tests/common/` that
-//! `tests/parallel_determinism.rs` compares against.
+//! `tests/prover_oracle.rs` compares against.
 //!
 //! # CNF preprocessing
 //!

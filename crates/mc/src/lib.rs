@@ -8,8 +8,7 @@
 //! execution:
 //!
 //! 1. **Falsification** — bit-parallel constrained random simulation kills
-//!    most candidates cheaply ([`simulate_filter_governed`]; the scalar
-//!    [`simulate_filter_reference`] is the oracle it is tested against).
+//!    most candidates cheaply ([`simulate_filter_governed`]).
 //! 2. **Proof** — a Houdini-style mutual-induction fixpoint proves the
 //!    survivors ([`houdini_prove_warm_governed`]). The base case asks SAT
 //!    for a constrained reset state violating any candidate and drops
@@ -32,9 +31,7 @@ pub use candidates::{candidates_for_netlist, Candidate, CandidateId, CandidateKi
 pub use houdini::{
     houdini_prove_warm_governed, HoudiniConfig, HoudiniStats, ProveConfig, ShardStats,
 };
-pub use sim_filter::{
-    simulate_filter_governed, simulate_filter_reference, SimFilterConfig, SimFilterStats,
-};
+pub use sim_filter::{simulate_filter_governed, SimFilterConfig, SimFilterStats};
 
 #[cfg(test)]
 mod tests {
@@ -51,7 +48,7 @@ mod tests {
         constraint: AigLit,
         candidates: &[Candidate],
         config: &SimFilterConfig,
-        stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
+        stimulus: &dyn Fn(&mut StdRng, &mut [u64]),
         seed: u64,
     ) -> Vec<Candidate> {
         let gov = Governor::unlimited();

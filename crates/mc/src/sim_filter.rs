@@ -1,20 +1,19 @@
 //! Bit-parallel constrained random simulation for candidate falsification.
 //!
 //! The falsification engine simulates `lane_blocks` independent 64-lane
-//! trajectories and merges their per-candidate kill sets. Blocks are
-//! embarrassingly parallel: each derives its own RNG stream purely from
-//! `(seed, block_index)`, so the merged result is **identical for a given
-//! `(seed, lane_blocks)` regardless of `threads`** — kill-set union is
-//! commutative and stats merging is additive.
+//! trajectories and merges their per-candidate kill sets. Each block
+//! derives its own RNG stream purely from `(seed, block_index)`, so the
+//! result is **identical for a given `(seed, lane_blocks)`**.
 //!
 //! Blocks are executed in fixed chunks of [`SIM_WIDTH`] on an
-//! [`AigSimulatorWide`]: one schedule sweep evaluates `SIM_WIDTH` blocks at
-//! once (amortizing the schedule stream and vectorizing the word ops), and
-//! a candidate killed by any block in the chunk stops being checked by the
-//! whole chunk — safe because the kill set is a union, so once a candidate
-//! is in it, further checks are redundant. Chunk boundaries depend only on
-//! `lane_blocks`, never on `threads`, which preserves thread-count
-//! invariance of both survivors and stats.
+//! [`AigSimulatorWide`], one chunk after another on the calling thread:
+//! one schedule sweep evaluates `SIM_WIDTH` blocks at once (amortizing the
+//! schedule stream and vectorizing the word ops), and a candidate killed
+//! by any block in the chunk stops being checked by the whole chunk — safe
+//! because the kill set is a union, so once a candidate is in it, further
+//! checks are redundant. Every chunk starts from the full candidate set,
+//! so what one chunk checks and counts never depends on what an earlier
+//! chunk killed.
 //!
 //! Within a chunk, dead candidates cost zero: the alive set is one flat
 //! array sorted by target net, compacted in place on kill, so each cycle
@@ -26,12 +25,12 @@
 //! The engine is resource-governed ([`simulate_filter_governed`]): a shared
 //! [`Governor`] bounds total simulated block-cycles (deterministically
 //! pre-apportioned across chunks), enforces a wall-clock deadline at cycle
-//! boundaries, and isolates worker panics behind a per-chunk
-//! `catch_unwind`. Any chunk cut short *drops* its unvetted candidates so
-//! degraded survivors are always a subset of the fault-free ones.
+//! boundaries, and isolates panics behind a per-chunk `catch_unwind`. Any
+//! chunk cut short *drops* its unvetted candidates so degraded survivors
+//! are always a subset of the fault-free ones.
 
 use crate::candidates::{Candidate, CandidateKind};
-use pdat_aig::{AigLit, AigSimulator, AigSimulatorWide, NetlistAig, SIM_WIDTH};
+use pdat_aig::{AigLit, AigSimulatorWide, NetlistAig, SIM_WIDTH};
 use pdat_governor::{Cause, DegradationEvent, Governor, Stage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,11 +47,8 @@ pub struct SimFilterConfig {
     /// derived from the master seed. Part of the result's identity: changing
     /// it changes which candidates get falsified.
     pub lane_blocks: usize,
-    /// Worker threads to spread block chunks over. **Not** part of the
-    /// result's identity: any value yields bit-identical survivors and
-    /// stats. Parallelism granularity is one chunk of [`SIM_WIDTH`] blocks,
-    /// so at most `min(threads, ceil(lane_blocks / SIM_WIDTH))` workers
-    /// run — one at the defaults (4 blocks, `SIM_WIDTH` = 4).
+    /// Not read; kept because perfbench sets it. Falsification runs its
+    /// chunks on the calling thread.
     pub threads: usize,
     /// Restart a block from reset when fewer than this many of its 64 lanes
     /// still satisfy the constraint (sticky mask). `1` restores the legacy
@@ -89,25 +85,6 @@ pub struct SimFilterStats {
     pub cycles: u64,
     /// Lane blocks simulated.
     pub lane_blocks: u64,
-}
-
-impl SimFilterStats {
-    fn absorb(&mut self, other: &SimFilterStats) {
-        self.candidate_cycles += other.candidate_cycles;
-        self.kills += other.kills;
-        self.restarts += other.restarts;
-        self.wasted_lane_cycles += other.wasted_lane_cycles;
-        self.cycles += other.cycles;
-        self.lane_blocks += other.lane_blocks;
-    }
-}
-
-/// What a live candidate asserts about its (already resolved) target word
-/// (used by the sequential reference scan).
-#[derive(Clone, Copy)]
-enum KindLit {
-    Const(bool),
-    Equal(AigLit),
 }
 
 /// A live candidate in the compacted engine, as a uniform check:
@@ -160,6 +137,44 @@ fn block_seed(seed: u64, block: u64) -> u64 {
     seed ^ rand::splitmix64(&mut s)
 }
 
+/// What every chunk of one run reads.
+struct Run<'a> {
+    proto: AigSimulatorWide<'a>,
+    constraint: AigLit,
+    /// The full resolved candidate set; every chunk starts from it.
+    template: &'a [Member],
+    config: &'a SimFilterConfig,
+    stimulus: &'a dyn Fn(&mut StdRng, &mut [u64]),
+    seed: u64,
+    governor: &'a Governor,
+}
+
+/// What the chunks of one run write: kill and drop bits per candidate
+/// index, summed counters, and degradation events in chunk order.
+struct Tally {
+    killed: Vec<u64>,
+    dropped: Vec<u64>,
+    stats: SimFilterStats,
+    events: Vec<DegradationEvent>,
+}
+
+impl Tally {
+    /// Drop every member that no chunk has killed or dropped yet and
+    /// return how many that were.
+    fn drop_unvetted<'m>(&mut self, members: impl IntoIterator<Item = &'m Member>) -> usize {
+        let mut n = 0;
+        for m in members {
+            let w = m.cand as usize / 64;
+            let b = 1u64 << (m.cand % 64);
+            if (self.killed[w] | self.dropped[w]) & b == 0 {
+                self.dropped[w] |= b;
+                n += 1;
+            }
+        }
+        n
+    }
+}
+
 /// Simulate one chunk of up to [`SIM_WIDTH`] lane blocks (blocks
 /// `chunk * SIM_WIDTH ..+ real`); sets kill bits and accumulates stats.
 /// Words `real..SIM_WIDTH` are padding: their `scan_ok` mask stays zero
@@ -169,40 +184,27 @@ fn block_seed(seed: u64, block: u64) -> u64 {
 /// deterministic share of the global cycle budget), polls the governor's
 /// deadline/cancellation each cycle, and honors an armed sim-panic fault.
 /// A chunk that stops before `config.cycles` did not finish vetting its
-/// alive set, so it *drops* every still-alive candidate (sets their bits
-/// in `dropped`): partial positive evidence must not let a candidate
-/// reach the prover, or the degraded survivor set could exceed the
-/// fault-free one and prove candidates with unchecked base cases.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    proto: &AigSimulatorWide<'_>,
-    constraint: AigLit,
-    template: &[Member],
-    config: &SimFilterConfig,
-    stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
-    seed: u64,
-    chunk: usize,
-    real: usize,
-    allowed_cycles: usize,
-    governor: &Governor,
-    killed: &mut [u64],
-    dropped: &mut [u64],
-    stats: &mut SimFilterStats,
-    events: &mut Vec<DegradationEvent>,
-) {
+/// alive set, so it *drops* every still-alive candidate: partial positive
+/// evidence must not let a candidate reach the prover, or the degraded
+/// survivor set could exceed the fault-free one and prove candidates with
+/// unchecked base cases.
+fn run_chunk(run: &Run<'_>, chunk: usize, real: usize, allowed_cycles: usize, out: &mut Tally) {
+    let config = run.config;
+    let governor = run.governor;
     let chunk_base = (chunk * SIM_WIDTH) as u64;
-    let mut sim = proto.clone();
+    let mut sim = run.proto.clone();
     sim.reset();
     // Per-chunk alive set: one flat, target-sorted array, compacted in
     // place on kill — dead candidates cost zero on every later cycle, in
     // every block of the chunk.
-    let mut live: Vec<Member> = template.to_vec();
+    let mut live: Vec<Member> = run.template.to_vec();
     let mut rngs: Vec<StdRng> = (0..real)
-        .map(|w| StdRng::seed_from_u64(block_seed(seed, chunk_base + w as u64)))
+        .map(|w| StdRng::seed_from_u64(block_seed(run.seed, chunk_base + w as u64)))
         .collect();
     let n_inputs = sim.aig().inputs().len();
     let mut scratch = vec![0u64; n_inputs];
     let mut inputs = vec![[0u64; SIM_WIDTH]; n_inputs];
+    let stats = &mut out.stats;
     stats.lane_blocks += real as u64;
 
     let mut cut_short = (allowed_cycles < config.cycles).then_some(Cause::CycleBudget);
@@ -225,18 +227,18 @@ fn run_chunk(
             break;
         }
         if governor.fault_sim_panic(chunk as u64, cycle as u64) {
-            panic!("injected fault: sim worker panic at chunk {chunk}, cycle {cycle}");
+            panic!("injected fault: sim panic at chunk {chunk}, cycle {cycle}");
         }
         governor.charge_cycles(real as u64);
         simulated += 1;
         for w in 0..real {
-            stimulus(&mut rngs[w], &mut scratch);
+            (run.stimulus)(&mut rngs[w], &mut scratch);
             for (inp, &s) in inputs.iter_mut().zip(&scratch) {
                 inp[w] = s;
             }
         }
         sim.eval(&inputs);
-        let cons = sim.lit_words(constraint);
+        let cons = sim.lit_words(run.constraint);
         // Per-block masks the sweep may use this cycle: zero for blocks
         // that restart (their value words this cycle don't count as
         // constraint-satisfying evidence).
@@ -278,7 +280,7 @@ fn run_chunk(
                     viol |= (got[k] ^ o[k]) & scan_ok[k];
                 }
                 if viol != 0 {
-                    killed[m.cand as usize / 64] |= 1u64 << (m.cand % 64);
+                    out.killed[m.cand as usize / 64] |= 1u64 << (m.cand % 64);
                 } else {
                     if w != r {
                         live[w] = m;
@@ -297,19 +299,11 @@ fn run_chunk(
     }
     if let Some(cause) = cut_short {
         if !live.is_empty() {
-            let mut n = 0usize;
-            for m in &live {
-                let w = m.cand as usize / 64;
-                let b = 1u64 << (m.cand % 64);
-                if dropped[w] & b == 0 {
-                    dropped[w] |= b;
-                    n += 1;
-                }
-            }
-            events.push(DegradationEvent {
+            let dropped = out.drop_unvetted(&live);
+            out.events.push(DegradationEvent {
                 stage: Stage::Falsify,
                 cause,
-                dropped: n,
+                dropped,
                 detail: format!(
                     "chunk {chunk} stopped after {simulated} of {} cycles",
                     config.cycles
@@ -328,80 +322,23 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// Per-chunk result, merged deterministically (in chunk order) after all
-/// chunks finish.
-struct ChunkOutcome {
-    chunk: usize,
-    killed: Vec<u64>,
-    dropped: Vec<u64>,
-    stats: SimFilterStats,
-    events: Vec<DegradationEvent>,
-}
-
 /// Run one chunk behind a panic boundary. A panicking chunk poisons only
 /// itself: kills it recorded before dying are kept (each was genuinely
 /// observed), everything else in its template is dropped as unvetted, and
 /// the panic becomes a [`Cause::WorkerPanic`] degradation event instead of
 /// aborting the process.
-#[allow(clippy::too_many_arguments)]
-fn execute_chunk(
-    proto: &AigSimulatorWide<'_>,
-    constraint: AigLit,
-    template: &[Member],
-    config: &SimFilterConfig,
-    stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
-    seed: u64,
-    chunk: usize,
-    real: usize,
-    allowed_cycles: usize,
-    governor: &Governor,
-    words: usize,
-) -> ChunkOutcome {
-    let mut killed = vec![0u64; words];
-    let mut dropped = vec![0u64; words];
-    let mut stats = SimFilterStats::default();
-    let mut events = Vec::new();
+fn execute_chunk(run: &Run<'_>, chunk: usize, real: usize, allowed_cycles: usize, out: &mut Tally) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_chunk(
-            proto,
-            constraint,
-            template,
-            config,
-            stimulus,
-            seed,
-            chunk,
-            real,
-            allowed_cycles,
-            governor,
-            &mut killed,
-            &mut dropped,
-            &mut stats,
-            &mut events,
-        )
+        run_chunk(run, chunk, real, allowed_cycles, out)
     }));
     if let Err(payload) = outcome {
-        let mut n = 0usize;
-        for m in template {
-            let w = m.cand as usize / 64;
-            let b = 1u64 << (m.cand % 64);
-            if killed[w] & b == 0 && dropped[w] & b == 0 {
-                dropped[w] |= b;
-                n += 1;
-            }
-        }
-        events.push(DegradationEvent {
+        let dropped = out.drop_unvetted(run.template);
+        out.events.push(DegradationEvent {
             stage: Stage::Falsify,
             cause: Cause::WorkerPanic,
-            dropped: n,
+            dropped,
             detail: format!("chunk {chunk}: {}", panic_message(payload.as_ref())),
         });
-    }
-    ChunkOutcome {
-        chunk,
-        killed,
-        dropped,
-        stats,
-        events,
     }
 }
 
@@ -418,8 +355,7 @@ fn execute_chunk(
 /// candidate.
 ///
 /// Determinism: survivors and stats depend only on
-/// `(seed, config.cycles, config.lane_blocks, config.restart_threshold)`;
-/// `config.threads` never changes the result.
+/// `(seed, config.cycles, config.lane_blocks, config.restart_threshold)`.
 ///
 /// The shared [`Governor`]'s global cycle budget, deadline, cancellation,
 /// and any armed fault plan are honored; [`Governor::unlimited`] runs the
@@ -427,134 +363,71 @@ fn execute_chunk(
 ///
 /// Soundness under degradation: every chunk that stops before completing
 /// its full vetting (cycle-budget truncation, deadline, cancellation, or an
-/// isolated worker panic) *drops* its still-alive candidates — they are
-/// excluded from the survivors exactly as if simulation had falsified them.
-/// Degraded survivors are therefore always a subset of the fault-free
-/// survivors, and since the downstream Houdini fixpoint is monotone in its
-/// input set, degraded proofs are a subset of fault-free proofs.
+/// isolated panic) *drops* its still-alive candidates — they are excluded
+/// from the survivors exactly as if simulation had falsified them. Each
+/// degradation event counts the candidates it dropped that no earlier
+/// chunk had killed or dropped. Degraded survivors are therefore always a
+/// subset of the fault-free survivors, and since the downstream Houdini
+/// fixpoint is monotone in its input set, degraded proofs are a subset of
+/// fault-free proofs.
 ///
-/// Determinism: the global cycle budget is pre-apportioned over chunks in
-/// fixed chunk order, so budget-truncation results are bit-identical for
-/// every `threads` value, like the ungoverned engine. Deadline and
-/// cancellation cuts depend on wall-clock timing and are inherently
-/// nondeterministic (but still sound).
-#[allow(clippy::too_many_arguments)]
+/// Budget truncation is deterministic: the global cycle budget is read
+/// once and apportioned over the chunks in chunk order, so a chunk's share
+/// does not depend on how many cycles earlier chunks actually burned.
+/// Deadline and cancellation cuts depend on wall-clock timing and are
+/// inherently nondeterministic (but still sound).
 pub fn simulate_filter_governed(
     na: &NetlistAig,
     constraint: AigLit,
     candidates: &[Candidate],
     config: &SimFilterConfig,
-    stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
+    stimulus: &dyn Fn(&mut StdRng, &mut [u64]),
     seed: u64,
     governor: &Governor,
 ) -> (Vec<Candidate>, SimFilterStats, Vec<DegradationEvent>) {
     let resolved = resolve_candidates(na, candidates);
     let words = candidates.len().div_ceil(64);
-    let mut killed = vec![0u64; words];
-    let mut dropped = vec![0u64; words];
-    let mut stats = SimFilterStats::default();
-    let mut events = Vec::new();
+    let mut tally = Tally {
+        killed: vec![0u64; words],
+        dropped: vec![0u64; words],
+        stats: SimFilterStats::default(),
+        events: Vec::new(),
+    };
     for &i in &resolved.prekilled {
-        killed[i as usize / 64] |= 1u64 << (i % 64);
+        tally.killed[i as usize / 64] |= 1u64 << (i % 64);
     }
 
-    let proto = AigSimulatorWide::new(&na.aig);
+    let run = Run {
+        proto: AigSimulatorWide::new(&na.aig),
+        constraint,
+        template: &resolved.members,
+        config,
+        stimulus,
+        seed,
+        governor,
+    };
     let blocks = config.lane_blocks.max(1);
-    let chunks = blocks.div_ceil(SIM_WIDTH);
-    let threads = config.threads.max(1).min(chunks);
-    let real_of = |chunk: usize| SIM_WIDTH.min(blocks - chunk * SIM_WIDTH);
-
-    // Deterministic apportionment of the remaining global cycle budget:
-    // allowances are fixed per chunk (in chunk order) *before* any worker
-    // starts, so budget truncation cannot depend on thread scheduling. A
-    // chunk burns `real` block-cycles per simulated cycle.
-    let allowance: Vec<usize> = match governor.remaining_cycles() {
-        None => vec![config.cycles; chunks],
-        Some(mut remaining) => (0..chunks)
-            .map(|chunk| {
-                let real = real_of(chunk) as u64;
-                let alloc = (remaining / real).min(config.cycles as u64);
-                remaining -= alloc * real;
+    // A chunk burns `real` block-cycles per simulated cycle.
+    let mut budget = governor.remaining_cycles();
+    for chunk in 0..blocks.div_ceil(SIM_WIDTH) {
+        let real = SIM_WIDTH.min(blocks - chunk * SIM_WIDTH);
+        let allowed = match budget.as_mut() {
+            None => config.cycles,
+            Some(remaining) => {
+                let alloc = (*remaining / real as u64).min(config.cycles as u64);
+                *remaining -= alloc * real as u64;
                 alloc as usize
-            })
-            .collect(),
-    };
-
-    let mut outcomes: Vec<ChunkOutcome> = if threads == 1 {
-        (0..chunks)
-            .map(|chunk| {
-                execute_chunk(
-                    &proto,
-                    constraint,
-                    &resolved.members,
-                    config,
-                    stimulus,
-                    seed,
-                    chunk,
-                    real_of(chunk),
-                    allowance[chunk],
-                    governor,
-                    words,
-                )
-            })
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let proto = &proto;
-                    let members = &resolved.members;
-                    let allowance = &allowance;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut chunk = t;
-                        while chunk < chunks {
-                            out.push(execute_chunk(
-                                proto,
-                                constraint,
-                                members,
-                                config,
-                                stimulus,
-                                seed,
-                                chunk,
-                                real_of(chunk),
-                                allowance[chunk],
-                                governor,
-                                words,
-                            ));
-                            chunk += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    // Chunk panics are caught inside execute_chunk; a panic
-                    // escaping to here is an engine bug, not input-driven.
-                    h.join()
-                        .expect("sim worker panicked outside the chunk boundary")
-                })
-                .collect()
-        })
-    };
-    // Merge in chunk order: kills and drops are order-insensitive unions,
-    // but event order should read as chunk order regardless of scheduling.
-    outcomes.sort_unstable_by_key(|o| o.chunk);
-    for o in &outcomes {
-        for (dst, src) in killed.iter_mut().zip(&o.killed) {
-            *dst |= src;
-        }
-        for (dst, src) in dropped.iter_mut().zip(&o.dropped) {
-            *dst |= src;
-        }
-        stats.absorb(&o.stats);
-    }
-    for o in outcomes {
-        events.extend(o.events);
+            }
+        };
+        execute_chunk(&run, chunk, real, allowed, &mut tally);
     }
 
+    let Tally {
+        killed,
+        dropped,
+        mut stats,
+        events,
+    } = tally;
     stats.kills = killed.iter().map(|w| w.count_ones() as u64).sum();
     let survivors = candidates
         .iter()
@@ -565,123 +438,136 @@ pub fn simulate_filter_governed(
     (survivors, stats, events)
 }
 
-/// Reference implementation: single-threaded, uncompacted per-candidate
-/// scan over scalar simulators with the exact same chunk/RNG/restart
-/// semantics. Exists as the oracle the wide engine is property-tested
-/// against: it must produce bit-identical survivors and stats to a
-/// [`simulate_filter_governed`] run whose governor never trips.
-pub fn simulate_filter_reference(
-    na: &NetlistAig,
-    constraint: AigLit,
-    candidates: &[Candidate],
-    config: &SimFilterConfig,
-    stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
-    seed: u64,
-) -> (Vec<Candidate>, SimFilterStats) {
-    let aig = &na.aig;
-    let n_inputs = aig.inputs().len();
-    let mut stats = SimFilterStats::default();
-
-    let resolved: Vec<Option<(AigLit, KindLit)>> = candidates
-        .iter()
-        .map(|c| {
-            let target = na.net_lit.get(&c.net).copied()?;
-            let kind = match c.kind {
-                CandidateKind::ConstFalse => KindLit::Const(false),
-                CandidateKind::ConstTrue => KindLit::Const(true),
-                CandidateKind::EqualNet(other) => KindLit::Equal(na.net_lit.get(&other).copied()?),
-            };
-            Some((target, kind))
-        })
-        .collect();
-    // Global kill set (union over chunks); each chunk scans from a fresh
-    // alive vector shared by its blocks, mirroring the wide engine's
-    // chunk-grouped semantics exactly (including its stats).
-    let mut killed: Vec<bool> = resolved.iter().map(|r| r.is_none()).collect();
-
-    let blocks = config.lane_blocks.max(1);
-    for base in (0..blocks).step_by(SIM_WIDTH) {
-        let real = SIM_WIDTH.min(blocks - base);
-        let mut sims: Vec<AigSimulator> = (0..real).map(|_| AigSimulator::new(aig)).collect();
-        let mut rngs: Vec<StdRng> = (0..real)
-            .map(|w| StdRng::seed_from_u64(block_seed(seed, (base + w) as u64)))
-            .collect();
-        let mut inputs = vec![0u64; n_inputs];
-        let mut alive: Vec<bool> = resolved.iter().map(|r| r.is_some()).collect();
-        stats.lane_blocks += real as u64;
-        let mut lane_ok = vec![u64::MAX; real];
-        let mut scan_ok = vec![0u64; real];
-        let mut restart = vec![false; real];
-        for _cycle in 0..config.cycles {
-            if !alive.iter().any(|&a| a) {
-                break;
-            }
-            for w in 0..real {
-                stimulus(&mut rngs[w], &mut inputs);
-                sims[w].eval(&inputs);
-                lane_ok[w] &= sims[w].lit_word(constraint);
-                stats.cycles += 1;
-                stats.wasted_lane_cycles += u64::from(64 - lane_ok[w].count_ones());
-                if lane_ok[w].count_ones() < config.restart_threshold {
-                    restart[w] = true;
-                    lane_ok[w] = u64::MAX;
-                    stats.restarts += 1;
-                    scan_ok[w] = 0;
-                } else {
-                    restart[w] = false;
-                    scan_ok[w] = lane_ok[w];
-                }
-            }
-            if scan_ok.iter().any(|&m| m != 0) {
-                for (i, r) in resolved.iter().enumerate() {
-                    if !alive[i] {
-                        continue;
-                    }
-                    let (target, kind) = r.expect("dead candidates filtered above");
-                    stats.candidate_cycles += 1;
-                    let mut viol = 0u64;
-                    for w in 0..real {
-                        let got = sims[w].lit_word(target);
-                        let bad = match kind {
-                            KindLit::Const(false) => got,
-                            KindLit::Const(true) => !got,
-                            KindLit::Equal(l) => got ^ sims[w].lit_word(l),
-                        };
-                        viol |= bad & scan_ok[w];
-                    }
-                    if viol != 0 {
-                        alive[i] = false;
-                        killed[i] = true;
-                    }
-                }
-            }
-            for s in &mut sims {
-                s.step();
-            }
-            for w in 0..real {
-                if restart[w] {
-                    sims[w].reset();
-                }
-            }
-        }
-    }
-
-    stats.kills = killed.iter().filter(|&&k| k).count() as u64;
-    let survivors = candidates
-        .iter()
-        .zip(&killed)
-        .filter(|(_, &k)| !k)
-        .map(|(c, _)| *c)
-        .collect();
-    (survivors, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdat_aig::netlist_to_aig;
-    use pdat_netlist::{CellKind, Netlist};
+    use pdat_aig::{netlist_to_aig, AigSimulator};
+    use pdat_governor::GovernorConfig;
+    use pdat_netlist::{CellKind, NetId, Netlist};
+    use proptest::prelude::*;
     use rand::Rng;
+    use std::time::Duration;
+
+    /// What a live candidate asserts about its (already resolved) target
+    /// word.
+    #[derive(Clone, Copy)]
+    enum KindLit {
+        Const(bool),
+        Equal(AigLit),
+    }
+
+    /// Reference implementation: uncompacted per-candidate scan over scalar
+    /// simulators with the exact same chunk/RNG/restart semantics. The oracle
+    /// the wide engine is tested against: it must produce bit-identical
+    /// survivors and stats to a [`simulate_filter_governed`] run whose
+    /// governor never trips.
+    fn simulate_filter_reference(
+        na: &NetlistAig,
+        constraint: AigLit,
+        candidates: &[Candidate],
+        config: &SimFilterConfig,
+        stimulus: &dyn Fn(&mut StdRng, &mut [u64]),
+        seed: u64,
+    ) -> (Vec<Candidate>, SimFilterStats) {
+        let aig = &na.aig;
+        let n_inputs = aig.inputs().len();
+        let mut stats = SimFilterStats::default();
+
+        let resolved: Vec<Option<(AigLit, KindLit)>> = candidates
+            .iter()
+            .map(|c| {
+                let target = na.net_lit.get(&c.net).copied()?;
+                let kind = match c.kind {
+                    CandidateKind::ConstFalse => KindLit::Const(false),
+                    CandidateKind::ConstTrue => KindLit::Const(true),
+                    CandidateKind::EqualNet(other) => {
+                        KindLit::Equal(na.net_lit.get(&other).copied()?)
+                    }
+                };
+                Some((target, kind))
+            })
+            .collect();
+        // Global kill set (union over chunks); each chunk scans from a fresh
+        // alive vector shared by its blocks, mirroring the wide engine's
+        // chunk-grouped semantics exactly (including its stats).
+        let mut killed: Vec<bool> = resolved.iter().map(|r| r.is_none()).collect();
+
+        let blocks = config.lane_blocks.max(1);
+        for base in (0..blocks).step_by(SIM_WIDTH) {
+            let real = SIM_WIDTH.min(blocks - base);
+            let mut sims: Vec<AigSimulator> = (0..real).map(|_| AigSimulator::new(aig)).collect();
+            let mut rngs: Vec<StdRng> = (0..real)
+                .map(|w| StdRng::seed_from_u64(block_seed(seed, (base + w) as u64)))
+                .collect();
+            let mut inputs = vec![0u64; n_inputs];
+            let mut alive: Vec<bool> = resolved.iter().map(|r| r.is_some()).collect();
+            stats.lane_blocks += real as u64;
+            let mut lane_ok = vec![u64::MAX; real];
+            let mut scan_ok = vec![0u64; real];
+            let mut restart = vec![false; real];
+            for _cycle in 0..config.cycles {
+                if !alive.iter().any(|&a| a) {
+                    break;
+                }
+                for w in 0..real {
+                    stimulus(&mut rngs[w], &mut inputs);
+                    sims[w].eval(&inputs);
+                    lane_ok[w] &= sims[w].lit_word(constraint);
+                    stats.cycles += 1;
+                    stats.wasted_lane_cycles += u64::from(64 - lane_ok[w].count_ones());
+                    if lane_ok[w].count_ones() < config.restart_threshold {
+                        restart[w] = true;
+                        lane_ok[w] = u64::MAX;
+                        stats.restarts += 1;
+                        scan_ok[w] = 0;
+                    } else {
+                        restart[w] = false;
+                        scan_ok[w] = lane_ok[w];
+                    }
+                }
+                if scan_ok.iter().any(|&m| m != 0) {
+                    for (i, r) in resolved.iter().enumerate() {
+                        if !alive[i] {
+                            continue;
+                        }
+                        let (target, kind) = r.expect("dead candidates filtered above");
+                        stats.candidate_cycles += 1;
+                        let mut viol = 0u64;
+                        for w in 0..real {
+                            let got = sims[w].lit_word(target);
+                            let bad = match kind {
+                                KindLit::Const(false) => got,
+                                KindLit::Const(true) => !got,
+                                KindLit::Equal(l) => got ^ sims[w].lit_word(l),
+                            };
+                            viol |= bad & scan_ok[w];
+                        }
+                        if viol != 0 {
+                            alive[i] = false;
+                            killed[i] = true;
+                        }
+                    }
+                }
+                for s in &mut sims {
+                    s.step();
+                }
+                for w in 0..real {
+                    if restart[w] {
+                        sims[w].reset();
+                    }
+                }
+            }
+        }
+
+        stats.kills = killed.iter().filter(|&&k| k).count() as u64;
+        let survivors = candidates
+            .iter()
+            .zip(&killed)
+            .filter(|(_, &k)| !k)
+            .map(|(c, _)| *c)
+            .collect();
+        (survivors, stats)
+    }
 
     /// A run to completion under [`Governor::unlimited`].
     fn ungoverned(
@@ -689,7 +575,7 @@ mod tests {
         constraint: AigLit,
         candidates: &[Candidate],
         config: &SimFilterConfig,
-        stimulus: &(dyn Fn(&mut StdRng, &mut [u64]) + Sync),
+        stimulus: &dyn Fn(&mut StdRng, &mut [u64]),
         seed: u64,
     ) -> (Vec<Candidate>, SimFilterStats) {
         let (survivors, stats, events) = simulate_filter_governed(
@@ -780,41 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_result() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let x = nl.add_cell(CellKind::Xor2, &[a, b], "x");
-        let y = nl.add_cell(CellKind::And2, &[a, x], "y");
-        let z = nl.add_cell(CellKind::Or2, &[y, b], "z");
-        nl.add_output("z", z);
-        let conv = netlist_to_aig(&nl, &[]);
-        let cands = crate::candidates_for_netlist(&nl, &conv);
-        let mut previous: Option<(Vec<Candidate>, SimFilterStats)> = None;
-        // 9 blocks = 3 chunks, so 2 threads get uneven work and 7 threads
-        // cap at the chunk count.
-        for threads in [1, 2, 4, 7] {
-            let got = ungoverned(
-                &conv,
-                AigLit::TRUE,
-                &cands,
-                &SimFilterConfig {
-                    cycles: 48,
-                    lane_blocks: 9,
-                    threads,
-                    restart_threshold: 8,
-                },
-                &random_stimulus,
-                0xBEEF,
-            );
-            if let Some(prev) = &previous {
-                assert_eq!(prev, &got, "threads={threads} changed the result");
-            }
-            previous = Some(got);
-        }
-    }
-
-    #[test]
     fn matches_reference_implementation() {
         let mut nl = Netlist::new("t");
         let a = nl.add_input("a");
@@ -829,8 +680,7 @@ mod tests {
         let config = SimFilterConfig {
             cycles: 64,
             lane_blocks: 6,
-            threads: 4,
-            restart_threshold: 8,
+            ..Default::default()
         };
         let fast = ungoverned(&conv, AigLit::TRUE, &cands, &config, &random_stimulus, 77);
         let slow =
@@ -855,8 +705,7 @@ mod tests {
         let config = SimFilterConfig {
             cycles: 40,
             lane_blocks: 1,
-            threads: 1,
-            restart_threshold: 8,
+            ..Default::default()
         };
         let (alive, stats) = ungoverned(
             &conv,
@@ -902,14 +751,12 @@ mod tests {
     }
 
     #[test]
-    fn cycle_budget_truncation_is_sound_and_thread_invariant() {
-        use pdat_governor::{Cause, Governor, GovernorConfig};
+    fn cycle_budget_truncation_is_sound_and_deterministic() {
         let (_nl, conv, cands) = governed_fixture();
         let config = SimFilterConfig {
             cycles: 48,
             lane_blocks: 9, // 3 chunks
-            threads: 1,
-            restart_threshold: 8,
+            ..Default::default()
         };
         let (free, _) = ungoverned(
             &conv,
@@ -921,42 +768,35 @@ mod tests {
         );
         // Budget covers roughly half the full run's block-cycles, so some
         // chunk must be truncated.
-        let mut previous = None;
-        for threads in [1, 2, 4] {
+        let truncated = || {
             let g = Governor::new(&GovernorConfig {
                 cycle_budget: Some(300),
                 ..Default::default()
             });
-            let got = simulate_filter_governed(
+            simulate_filter_governed(
                 &conv,
                 AigLit::TRUE,
                 &cands,
-                &SimFilterConfig {
-                    threads,
-                    ..config.clone()
-                },
+                &config,
                 &random_stimulus,
                 0xBEEF,
                 &g,
-            );
-            assert!(
-                got.0.iter().all(|c| free.contains(c)),
-                "degraded survivors must be a subset of the fault-free ones"
-            );
-            assert!(
-                got.2.iter().any(|e| e.cause == Cause::CycleBudget),
-                "the truncation must be reported"
-            );
-            if let Some(prev) = &previous {
-                assert_eq!(prev, &got, "threads={threads} changed the governed result");
-            }
-            previous = Some(got);
-        }
+            )
+        };
+        let got = truncated();
+        assert!(
+            got.0.iter().all(|c| free.contains(c)),
+            "degraded survivors must be a subset of the fault-free ones"
+        );
+        assert!(
+            got.2.iter().any(|e| e.cause == Cause::CycleBudget),
+            "the truncation must be reported"
+        );
+        assert_eq!(got, truncated(), "budget truncation must be deterministic");
     }
 
     #[test]
     fn zero_cycle_budget_drops_every_candidate() {
-        use pdat_governor::{Governor, GovernorConfig};
         let (_nl, conv, cands) = governed_fixture();
         let g = Governor::new(&GovernorConfig {
             cycle_budget: Some(0),
@@ -979,13 +819,12 @@ mod tests {
 
     #[test]
     fn injected_worker_panic_is_isolated_and_sound() {
-        use pdat_governor::{Cause, FaultPlan, Governor, GovernorConfig};
+        use pdat_governor::FaultPlan;
         let (_nl, conv, cands) = governed_fixture();
         let config = SimFilterConfig {
             cycles: 48,
             lane_blocks: 9, // 3 chunks
-            threads: 4,
-            restart_threshold: 8,
+            ..Default::default()
         };
         let (free, _) = ungoverned(
             &conv,
@@ -1028,5 +867,99 @@ mod tests {
             survivors.iter().all(|c| free.contains(c)),
             "post-panic survivors must be a subset of the fault-free ones"
         );
+    }
+
+    const N_INPUTS: usize = 3;
+
+    /// A random small sequential design over three inputs: each recipe
+    /// entry adds one cell (kind, fan-in picks, flop reset value) on top
+    /// of the nets built so far.
+    fn build_netlist(recipe: &[(u8, u8, u8, u8, bool)]) -> Netlist {
+        let mut nl = Netlist::new("rand");
+        let mut nets: Vec<NetId> = (0..N_INPUTS)
+            .map(|i| nl.add_input(format!("i{i}")))
+            .collect();
+        let mut dffs = 0;
+        for (k, (kind_sel, a, b, c, init)) in recipe.iter().enumerate() {
+            let pick = |x: u8| nets[x as usize % nets.len()];
+            let o = match kind_sel % 8 {
+                0 => nl.add_cell(CellKind::And2, &[pick(*a), pick(*b)], format!("n{k}")),
+                1 => nl.add_cell(CellKind::Or2, &[pick(*a), pick(*b)], format!("n{k}")),
+                2 => nl.add_cell(CellKind::Xor2, &[pick(*a), pick(*b)], format!("n{k}")),
+                3 => nl.add_cell(CellKind::Inv, &[pick(*a)], format!("n{k}")),
+                4 => nl.add_cell(
+                    CellKind::Mux2,
+                    &[pick(*a), pick(*b), pick(*c)],
+                    format!("n{k}"),
+                ),
+                5 | 6 => {
+                    if dffs < 6 {
+                        dffs += 1;
+                        nl.add_dff(pick(*a), *init, format!("n{k}"))
+                    } else {
+                        nl.add_cell(CellKind::Nand2, &[pick(*a), pick(*b)], format!("n{k}"))
+                    }
+                }
+                _ => nl.add_cell(CellKind::Nor2, &[pick(*a), pick(*b)], format!("n{k}")),
+            };
+            nets.push(o);
+        }
+        for (i, &n) in nets.iter().rev().take(3).enumerate() {
+            nl.add_output(format!("o{i}"), n);
+        }
+        nl
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The compacted wide engine must produce bit-identical survivors
+        /// and stats to the naive reference scan, for any netlist, seed
+        /// and lane-block count (1..6 covers one chunk, a padded chunk,
+        /// and a full chunk plus a padded one), whether its governor is
+        /// unlimited or armed with caps that never trip.
+        #[test]
+        fn wide_filter_matches_sequential_reference(
+            recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()), 2..28),
+            seed in any::<u64>(),
+            lane_blocks in 1usize..6,
+            restart_threshold in 0u32..12,
+        ) {
+            let nl = build_netlist(&recipe);
+            nl.validate().unwrap();
+            let na = netlist_to_aig(&nl, &[]);
+            let cands = crate::candidates_for_netlist(&nl, &na);
+            // Constrain on one input being high so the sticky mask and
+            // restart logic are exercised, not just the TRUE fast path.
+            let constraint = na.input_lit[&nl.inputs()[0]];
+            let config = SimFilterConfig {
+                cycles: 48,
+                lane_blocks,
+                restart_threshold,
+                ..Default::default()
+            };
+            let slow =
+                simulate_filter_reference(&na, constraint, &cands, &config, &random_stimulus, seed);
+            let armed = Governor::new(&GovernorConfig {
+                deadline: Some(Duration::from_secs(86_400)),
+                cycle_budget: Some(u64::MAX / 2),
+                conflict_budget: Some(u64::MAX / 2),
+                ..Default::default()
+            });
+            for gov in [Governor::unlimited(), armed] {
+                let fast = simulate_filter_governed(
+                    &na,
+                    constraint,
+                    &cands,
+                    &config,
+                    &random_stimulus,
+                    seed,
+                    &gov,
+                );
+                prop_assert!(fast.2.is_empty(), "an untripped governor cannot degrade");
+                prop_assert_eq!(&fast.0, &slow.0, "survivor sets diverge");
+                prop_assert_eq!(&fast.1, &slow.1, "stats diverge");
+            }
+        }
     }
 }

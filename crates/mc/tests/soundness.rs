@@ -7,15 +7,14 @@
 //! here would mean the pipeline could corrupt a core.
 
 use pdat_aig::{netlist_to_aig, AigLit};
-use pdat_governor::{Governor, GovernorConfig};
+use pdat_governor::Governor;
 use pdat_mc::{
-    candidates_for_netlist, houdini_prove_warm_governed, simulate_filter_governed,
-    simulate_filter_reference, Candidate, CandidateKind, HoudiniConfig, SimFilterConfig,
+    candidates_for_netlist, houdini_prove_warm_governed, simulate_filter_governed, Candidate,
+    CandidateKind, HoudiniConfig, SimFilterConfig,
 };
 use pdat_netlist::{CellKind, NetId, Netlist, Simulator};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::time::Duration;
 
 const N_INPUTS: usize = 3;
 
@@ -136,51 +135,6 @@ proptest! {
                 "UNSOUND: engine proved {:?} but it is violated on a reachable state",
                 cand
             );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The parallel, compacted engine must produce bit-identical survivors
-    /// and stats to the naive sequential reference scan, for any netlist,
-    /// seed, lane-block count, and thread count, whether its governor is
-    /// unlimited or armed with caps that never trip.
-    #[test]
-    fn parallel_filter_matches_sequential_reference(
-        recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()), 2..28),
-        seed in any::<u64>(),
-        lane_blocks in 1usize..6,
-        threads in 1usize..6,
-        restart_threshold in 0u32..12,
-    ) {
-        let nl = build_netlist(&recipe);
-        nl.validate().unwrap();
-        let na = netlist_to_aig(&nl, &[]);
-        let cands = candidates_for_netlist(&nl, &na);
-        // Constrain on one input being high so the sticky mask and restart
-        // logic are exercised, not just the TRUE fast path.
-        let constraint = na.input_lit[&nl.inputs()[0]];
-        let config = SimFilterConfig { cycles: 48, lane_blocks, threads, restart_threshold };
-        let stimulus = |r: &mut rand::rngs::StdRng, words: &mut [u64]| {
-            for w in words {
-                *w = rand::Rng::gen::<u64>(r);
-            }
-        };
-        let slow = simulate_filter_reference(&na, constraint, &cands, &config, &stimulus, seed);
-        let armed = Governor::new(&GovernorConfig {
-            deadline: Some(Duration::from_secs(86_400)),
-            cycle_budget: Some(u64::MAX / 2),
-            conflict_budget: Some(u64::MAX / 2),
-            ..Default::default()
-        });
-        for gov in [Governor::unlimited(), armed] {
-            let fast =
-                simulate_filter_governed(&na, constraint, &cands, &config, &stimulus, seed, &gov);
-            prop_assert!(fast.2.is_empty(), "an untripped governor cannot degrade");
-            prop_assert_eq!(&fast.0, &slow.0, "survivor sets diverge");
-            prop_assert_eq!(&fast.1, &slow.1, "stats diverge");
         }
     }
 }

@@ -322,11 +322,6 @@ impl Solver {
         self.conflict_budget = budget;
     }
 
-    /// The per-solve conflict budget currently in force.
-    pub fn conflict_budget(&self) -> Option<u64> {
-        self.conflict_budget
-    }
-
     /// Cap the number of retained learnt clauses before a reduction pass
     /// runs (the cap still grows ~10% after each reduction so the database
     /// can breathe on genuinely hard queries).
@@ -379,15 +374,6 @@ impl Solver {
     /// Conflicts spent by the most recent solve call (0 before any call).
     pub fn conflicts_last_solve(&self) -> u64 {
         self.solve_conflicts
-    }
-
-    /// Budget left over from the most recent solve call: per-solve budget
-    /// minus [`Solver::conflicts_last_solve`] (`None` = unlimited). A
-    /// governor uses this to apportion a global budget across successive
-    /// queries without double-counting what the last query returned unused.
-    pub fn remaining_conflict_budget(&self) -> Option<u64> {
-        self.conflict_budget
-            .map(|b| b.saturating_sub(self.solve_conflicts))
     }
 
     /// Attach a shared [`Governor`]: conflicts are charged to its global
@@ -1159,11 +1145,9 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(s.solve(), SolveResult::Unknown);
             assert_eq!(s.conflicts_last_solve(), 10);
-            assert_eq!(s.remaining_conflict_budget(), Some(0));
         }
         s.set_conflict_budget(None);
         assert_eq!(s.solve(), SolveResult::Unsat);
-        assert_eq!(s.remaining_conflict_budget(), None);
     }
 
     #[test]

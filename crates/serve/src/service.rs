@@ -715,7 +715,6 @@ mod tests {
         PdatConfig {
             sim_cycles: 16,
             lane_blocks: 1,
-            sim_threads: 1,
             conflict_budget: Some(10_000),
             max_iterations: 100,
             seed: 1,

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 gate: release build + full test suite, fully offline.
 #
-# The workspace has no registry dependencies — rand/proptest/criterion are
-# vendored shims under vendor/ (see vendor/README.md) — so the build must
+# The workspace has no registry dependencies — rand/proptest are vendored
+# shims under vendor/ (see vendor/README.md) — so the build must
 # succeed with an empty cargo registry. CARGO_NET_OFFLINE=true enforces
 # that invariant: if someone adds a registry dep, this script fails fast
 # instead of silently reaching for the network. Do not add external crates;

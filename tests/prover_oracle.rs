@@ -1,140 +1,31 @@
-//! Thread-count invariance of the full pipeline: the falsification engine
-//! parallelizes over lane blocks whose RNG streams depend only on
-//! `(seed, block_index)`, and the per-block kill sets are merged with a
-//! commutative union — so the proved invariant set, the transformed
-//! netlist, and the falsification counters must be bit-identical no matter
-//! how many worker threads run the simulation.
-//!
-//! The proving stage runs on one solver and never reads
-//! `ProveConfig::threads`, so the proved invariants and the solver
-//! counters must be bit-identical for any value of it. The proved list
-//! itself must equal a plain Houdini's.
+//! The prover against its differential oracle: on the Ibex-class core
+//! and on a keyed design, the prover (cone-of-influence encoding, CNF
+//! preprocessing, OR-tree detectors, one incremental solver) must prove
+//! the bit-identical list — values and order — that a plain Houdini in
+//! `tests/common/` proves on the same simulation survivors, with and
+//! without an armed but untripped governor. The pipeline's own falsify
+//! stage must hand the prover the same survivors the rebuilt one does.
 
 mod common;
 
 use common::{falsify, keyed_design, plain_houdini, Prepared};
 use pdat_repro::cores::build_ibex;
 use pdat_repro::isa::RvSubset;
-use pdat_repro::mc::{
-    houdini_prove_warm_governed, Candidate, CandidateKind, HoudiniConfig, HoudiniStats,
-};
+use pdat_repro::mc::{houdini_prove_warm_governed, Candidate, CandidateKind, HoudiniConfig};
 use pdat_repro::{
     run_pdat, run_pdat_batch, BatchRequest, ConstraintMode, Environment, Governor, GovernorConfig,
-    PdatConfig, PdatResult, PreparedNetlist, ProofCache, ProveConfig,
+    PdatConfig, PreparedNetlist, ProofCache, ProveConfig,
 };
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
-fn config_with_threads(threads: usize) -> PdatConfig {
-    PdatConfig {
-        sim_cycles: 96,
-        lane_blocks: 4,
-        sim_threads: threads,
-        conflict_budget: Some(40_000),
-        max_iterations: 1_000,
-        seed: 0xD7E2,
-        ..Default::default()
-    }
-}
-
-fn run(threads: usize) -> PdatResult {
-    let core = build_ibex();
-    let subset = RvSubset::rv32i();
-    run_pdat(
-        &core.netlist,
-        &Environment::Rv {
-            subset: &subset,
-            ports: vec![core.cut_fetch.clone()],
-            mode: ConstraintMode::CutpointBased,
-        },
-        &config_with_threads(threads),
-    )
-    .expect("pdat run")
-}
-
-#[test]
-fn proved_set_is_identical_for_1_2_4_threads() {
-    let r1 = run(1);
-    let r2 = run(2);
-    let r4 = run(4);
-    for (label, r) in [("2", &r2), ("4", &r4)] {
-        assert_eq!(
-            r1.sim_survivors, r.sim_survivors,
-            "threads={label} changed the simulation survivor count"
-        );
-        assert_eq!(
-            r1.sim_stats, r.sim_stats,
-            "threads={label} changed the falsification stats"
-        );
-        assert_eq!(
-            r1.proved, r.proved,
-            "threads={label} changed the proved invariant count"
-        );
-        assert_eq!(
-            r1.optimized, r.optimized,
-            "threads={label} changed the optimized netlist stats"
-        );
-    }
-    // The run must actually have done falsification work for the
-    // invariance claim to mean anything.
-    assert!(r1.sim_stats.kills > 0, "falsification killed nothing");
-    assert_eq!(r1.sim_stats.lane_blocks, 4);
-}
-
-fn prover_config(threads: usize) -> PdatConfig {
+fn prover_config() -> PdatConfig {
     PdatConfig {
         sim_cycles: 96,
         conflict_budget: Some(40_000),
         max_iterations: 1_000,
         seed: 0x9A8D,
-        prove: ProveConfig { threads },
         ..Default::default()
-    }
-}
-
-/// Compare two prover runs: the proved invariants (values *and* order)
-/// and every solver counter must match exactly.
-fn assert_prove_identical(base: &PdatResult, other: &PdatResult, label: &str) {
-    assert_eq!(
-        base.proved_invariants, other.proved_invariants,
-        "{label}: proved invariant list diverged"
-    );
-    let (a, b) = (&base.houdini_stats, &other.houdini_stats);
-    assert_eq!(a.iterations, b.iterations, "{label}: solve count diverged");
-    assert_eq!(a.rounds, b.rounds, "{label}: round count diverged");
-    assert_eq!(a.dropped, b.dropped, "{label}: cex drop count diverged");
-    assert_eq!(a.conflicts, b.conflicts, "{label}: conflict total diverged");
-    let clauses = |s: &HoudiniStats| -> Vec<(usize, usize)> {
-        s.shard_stats
-            .iter()
-            .map(|x| (x.clauses_pre, x.clauses_post))
-            .collect()
-    };
-    assert_eq!(clauses(a), clauses(b), "{label}: clause counts diverged");
-}
-
-#[test]
-fn prover_is_identical_for_1_2_4_8_threads_on_ibex() {
-    let core = build_ibex();
-    let subset = RvSubset::rv32i();
-    let env = Environment::Rv {
-        subset: &subset,
-        ports: vec![core.cut_fetch.clone()],
-        mode: ConstraintMode::CutpointBased,
-    };
-    let base = run_pdat(&core.netlist, &env, &prover_config(1)).expect("pdat run");
-    assert!(base.proved > 0, "fixture must prove something");
-    assert!(
-        base.houdini_stats.dropped > 0,
-        "fixture must drop something"
-    );
-    for threads in [2usize, 4, 8] {
-        let r = run_pdat(&core.netlist, &env, &prover_config(threads)).expect("pdat run");
-        assert_prove_identical(&base, &r, &format!("ibex threads={threads}"));
-        assert_eq!(
-            base.optimized, r.optimized,
-            "ibex threads={threads}: optimized netlist stats diverged"
-        );
     }
 }
 
@@ -203,7 +94,7 @@ fn assert_prover_matches_plain_houdini(p: &Prepared, label: &str) -> Vec<Candida
 fn coi_prover_matches_full_encoding_bit_identical_on_ibex() {
     let core = build_ibex();
     let subset = RvSubset::rv32i();
-    let config = prover_config(1);
+    let config = prover_config();
     let p = falsify(&core.netlist, Some((&subset, &core.cut_fetch)), &config);
     let oracle = assert_prover_matches_plain_houdini(&p, "ibex");
     // The rebuilt falsify stage is the pipeline's own: same survivors,
@@ -244,7 +135,7 @@ fn coi_prover_matches_full_encoding_bit_identical_on_keyed_design() {
             .collect()
     };
 
-    let p = falsify(&nl, None, &prover_config(1));
+    let p = falsify(&nl, None, &prover_config());
     let oracle = assert_prover_matches_plain_houdini(&p, "keyed");
     assert_eq!(named(&oracle), golden, "plain Houdini diverged from golden");
 
@@ -256,7 +147,7 @@ fn coi_prover_matches_full_encoding_bit_identical_on_keyed_design() {
     let res = run_pdat_batch(
         &prepared,
         &request,
-        &prover_config(1),
+        &prover_config(),
         &armed_governor(),
         &ProofCache::new(),
     )
@@ -273,16 +164,4 @@ fn coi_prover_matches_full_encoding_bit_identical_on_keyed_design() {
         golden,
         "pipeline diverged from golden"
     );
-}
-
-#[test]
-fn prover_is_identical_for_1_2_4_8_threads_on_keyed_design() {
-    let nl = keyed_design();
-    let base = run_pdat(&nl, &Environment::Unconstrained, &prover_config(1)).expect("pdat run");
-    assert!(base.proved >= 1, "keyed design proves the key invariant");
-    for threads in [2usize, 4, 8] {
-        let r =
-            run_pdat(&nl, &Environment::Unconstrained, &prover_config(threads)).expect("pdat run");
-        assert_prove_identical(&base, &r, &format!("keyed threads={threads}"));
-    }
 }
