@@ -169,7 +169,10 @@ impl Aig {
     ///
     /// Panics if `latch` does not refer to a latch node.
     pub fn set_latch_next(&mut self, latch: AigLit, next: AigLit) {
-        assert!(!latch.is_compl(), "latch handle must be the positive literal");
+        assert!(
+            !latch.is_compl(),
+            "latch handle must be the positive literal"
+        );
         match &mut self.nodes[latch.node().index()] {
             AigNode::Latch { next: slot, .. } => *slot = next,
             other => panic!("not a latch: {other:?}"),

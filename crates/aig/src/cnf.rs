@@ -206,10 +206,7 @@ impl<'a> ConeEncoder<'a> {
     pub fn lit(&mut self, solver: &mut Solver, frame: usize, l: AigLit) -> Lit {
         assert!(frame < 2, "ConeEncoder handles exactly two frames");
         self.encode_cone(solver, frame, l.node());
-        apply(
-            self.memo[frame][l.node().index()].expect("cone encoded"),
-            l,
-        )
+        apply(self.memo[frame][l.node().index()].expect("cone encoded"), l)
     }
 
     /// Iterative DFS over the (frame, node) dependency graph. AND children
@@ -316,7 +313,10 @@ mod tests {
         let enc = FrameEncoder::new(&g, &mut s);
         let frame = enc.encode_frame(&mut s, &[]);
         // FALSE literal must be unsatisfiable to assert.
-        assert_eq!(s.solve_with(&[frame.lit(AigLit::FALSE)]), SolveResult::Unsat);
+        assert_eq!(
+            s.solve_with(&[frame.lit(AigLit::FALSE)]),
+            SolveResult::Unsat
+        );
         assert_eq!(s.solve_with(&[frame.lit(AigLit::TRUE)]), SolveResult::Sat);
     }
 

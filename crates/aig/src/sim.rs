@@ -422,7 +422,8 @@ mod tests {
         let probe = g.or(t, b);
 
         let mut wide = AigSimulatorWide::new(&g);
-        let mut scalars: Vec<AigSimulator> = (0..SIM_WIDTH).map(|_| AigSimulator::new(&g)).collect();
+        let mut scalars: Vec<AigSimulator> =
+            (0..SIM_WIDTH).map(|_| AigSimulator::new(&g)).collect();
         let mut x = 0x1234_5678_9ABC_DEF0u64;
         let mut next = move || {
             // Small xorshift so the test owns its stimulus.

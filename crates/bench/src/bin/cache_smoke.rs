@@ -69,12 +69,7 @@ fn config() -> PdatConfig {
     }
 }
 
-fn run(
-    nl: &Netlist,
-    subset: &RvSubset,
-    port: &[NetId],
-    cache: &ProofCache,
-) -> SubsetReport {
+fn run(nl: &Netlist, subset: &RvSubset, port: &[NetId], cache: &ProofCache) -> SubsetReport {
     let env = Environment::Rv {
         subset,
         ports: vec![port.to_vec()],
@@ -111,13 +106,19 @@ fn main() {
 
     // Miss, then exact hit.
     let first = run(&nl, &full, &port, &cache);
-    check(matches!(first.cache, CacheEffect::Miss), "first request misses");
+    check(
+        matches!(first.cache, CacheEffect::Miss),
+        "first request misses",
+    );
     let again = run(&nl, &full, &port, &cache);
     check(
         matches!(again.cache, CacheEffect::ExactHit),
         "repeat request hits exactly",
     );
-    check(again.proved == first.proved, "exact hit returns the identical proved set");
+    check(
+        again.proved == first.proved,
+        "exact hit returns the identical proved set",
+    );
     check(again.result.is_none(), "exact hit solves nothing");
 
     // Lattice hit: the reduced subset warm-starts off the full entry and
@@ -126,7 +127,10 @@ fn main() {
     let warmed = matches!(warm.cache, CacheEffect::LatticeHit { warm } if warm > 0);
     check(warmed, "strict subset warm-starts off the cached ancestor");
     let cold = run(&nl, &reduced, &port, &ProofCache::new());
-    check(warm.proved == cold.proved, "warm answer is bit-identical to cold");
+    check(
+        warm.proved == cold.proved,
+        "warm answer is bit-identical to cold",
+    );
     check(
         warm.proved.len() > first.proved.len(),
         "removing instructions proves strictly more",
@@ -147,7 +151,10 @@ fn main() {
         matches!(replay.cache, CacheEffect::ExactHit),
         "reloaded cache answers exactly",
     );
-    check(replay.proved == cold.proved, "reloaded answer is bit-identical");
+    check(
+        replay.proved == cold.proved,
+        "reloaded answer is bit-identical",
+    );
 
     // A corrupted file is an error, never a panic.
     let bad = std::env::temp_dir().join("pdat_cache_smoke_bad.txt");

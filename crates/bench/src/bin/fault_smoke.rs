@@ -56,8 +56,12 @@ fn main() {
         .unwrap_or(12);
 
     let nl = keyed_design();
-    let oracle = run_pdat(&nl, &Environment::Unconstrained, &config(FaultPlan::default()))
-        .expect("oracle run");
+    let oracle = run_pdat(
+        &nl,
+        &Environment::Unconstrained,
+        &config(FaultPlan::default()),
+    )
+    .expect("oracle run");
     assert!(oracle.proved >= 1, "oracle must prove the key invariant");
     assert!(oracle.degradations.is_empty(), "oracle must be fault-free");
     let oracle_set: HashSet<(NetId, CandidateKind)> = oracle

@@ -2,8 +2,7 @@
 //! RIDECORE-class out-of-order core (port-based constraints).
 
 use pdat_bench::{
-    paper_config, render_rows, restrict_to_ridecore, ridecore_isa, ridecore_variant_rows,
-    write_csv,
+    paper_config, render_rows, restrict_to_ridecore, ridecore_isa, ridecore_variant_rows, write_csv,
 };
 use pdat_isa::RvSubset;
 use pdat_workloads::mibench_rv_all;

@@ -16,8 +16,8 @@
 //! Exits nonzero on any violation.
 
 use pdat::{
-    load_cache_or_quarantine, run_pdat_cached, CandidateId, ConstraintMode, Environment,
-    FaultPlan, LoadOutcome, PdatConfig, ProofCache,
+    load_cache_or_quarantine, run_pdat_cached, CandidateId, ConstraintMode, Environment, FaultPlan,
+    LoadOutcome, PdatConfig, ProofCache,
 };
 use pdat_isa::rv32::RvInstr;
 use pdat_isa::RvSubset;
@@ -299,8 +299,14 @@ fn main() {
     check(total_panics >= 1, "a worker panic was injected and caught");
     check(total_respawned >= 1, "the supervisor respawned a worker");
     check(total_retries >= 1, "a faulted attempt was retried");
-    check(total_checkpoints_ok >= 1, "at least one checkpoint saved cleanly");
-    check(any_warm_boot, "a later round booted warm off a saved snapshot");
+    check(
+        total_checkpoints_ok >= 1,
+        "at least one checkpoint saved cleanly",
+    );
+    check(
+        any_warm_boot,
+        "a later round booted warm off a saved snapshot",
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
     if failures > 0 {

@@ -147,7 +147,8 @@ fn rv_variant_rows(
                 mode,
             },
             config,
-        ).expect("pdat run");
+        )
+        .expect("pdat run");
         rows.push(row_from_result(
             &subset.name,
             &full,
@@ -195,7 +196,8 @@ pub fn m0_variant_rows(
                 mode: ConstraintMode::PortBased,
             },
             config,
-        ).expect("pdat run");
+        )
+        .expect("pdat run");
         rows.push(row_from_result(
             &subset.name,
             &full,

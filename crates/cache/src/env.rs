@@ -205,7 +205,10 @@ impl CanonicalEnv {
         }
         h.u64(self.forms.len() as u64);
         for f in &self.forms {
-            h.u8(u8::from(f.half)).u32(f.mask).u32(f.value).u32(f.forbidden);
+            h.u8(u8::from(f.half))
+                .u32(f.mask)
+                .u32(f.value)
+                .u32(f.forbidden);
         }
         h.u64(self.extras.len() as u64);
         for e in &self.extras {
@@ -399,18 +402,10 @@ mod tests {
     #[test]
     fn unconstrained_tops_uncut_modes_only() {
         let top = CanonicalEnv::unconstrained();
-        let port = CanonicalEnv::canonicalize(
-            EnvMode::RvPort,
-            vec![vec![1]],
-            vec![form(1, 1)],
-            vec![],
-        );
-        let cut = CanonicalEnv::canonicalize(
-            EnvMode::RvCut,
-            vec![vec![1]],
-            vec![form(1, 1)],
-            vec![],
-        );
+        let port =
+            CanonicalEnv::canonicalize(EnvMode::RvPort, vec![vec![1]], vec![form(1, 1)], vec![]);
+        let cut =
+            CanonicalEnv::canonicalize(EnvMode::RvCut, vec![vec![1]], vec![form(1, 1)], vec![]);
         assert!(top.is_superset_of(&port));
         assert!(!top.is_superset_of(&cut), "cut AIG differs — incomparable");
         assert!(top.depth() <= port.depth());

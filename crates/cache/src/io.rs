@@ -100,7 +100,9 @@ fn decode_name(tok: &str) -> String {
     if tok == "%00" {
         return String::new();
     }
-    tok.replace("%20", " ").replace("%0A", "\n").replace("%25", "%")
+    tok.replace("%20", " ")
+        .replace("%0A", "\n")
+        .replace("%25", "%")
 }
 
 /// Serialize every cache entry to `path` atomically: the full
@@ -306,7 +308,10 @@ impl<'a> Parser<'a> {
         usize::try_from(v).map_err(|_| self.err(format!("{what} out of range: {v}")))
     }
 
-    fn parse_stats(&self, rest: &mut std::str::SplitWhitespace<'_>) -> Result<NetlistStats, CacheIoError> {
+    fn parse_stats(
+        &self,
+        rest: &mut std::str::SplitWhitespace<'_>,
+    ) -> Result<NetlistStats, CacheIoError> {
         let name = decode_name(rest.next().ok_or_else(|| self.err("missing stats name"))?);
         let gate_count = self.parse_usize(rest.next(), "gate_count")?;
         let dff_count = self.parse_usize(rest.next(), "dff_count")?;
@@ -682,10 +687,7 @@ mod tests {
     #[test]
     fn missing_file_is_io_error() {
         let cache = ProofCache::new();
-        let err = load_cache(
-            &cache,
-            Path::new("/definitely/not/a/real/path.pdatcache"),
-        );
+        let err = load_cache(&cache, Path::new("/definitely/not/a/real/path.pdatcache"));
         assert!(matches!(err, Err(CacheIoError::Io(_))));
     }
 
@@ -775,7 +777,10 @@ mod tests {
         text.push_str("run not-a-fingerprint zz\n");
         fs::write(&path, text).expect("corrupt");
         match load_cache_or_quarantine(&cache, &path) {
-            Ok(LoadOutcome::Quarantined { error, quarantine: q }) => {
+            Ok(LoadOutcome::Quarantined {
+                error,
+                quarantine: q,
+            }) => {
                 assert!(matches!(error, CacheIoError::Parse { .. }));
                 assert_eq!(q, quarantine);
             }

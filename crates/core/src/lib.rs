@@ -65,9 +65,7 @@ pub use pdat_cache::{
     CacheIoError, CacheLookup, CacheStats, CachedRun, CachedSummary, CanonicalEnv, CanonicalExtra,
     CanonicalForm, EnvMode, LoadOutcome, ProofCache,
 };
-pub use pdat_governor::{
-    Cause, DegradationEvent, FaultPlan, Governor, GovernorConfig, Stage,
-};
+pub use pdat_governor::{Cause, DegradationEvent, FaultPlan, Governor, GovernorConfig, Stage};
 pub use pdat_mc::{
     Candidate, CandidateId, CandidateKind, HoudiniStats, ProveConfig, ShardStats, SimFilterStats,
 };

@@ -145,7 +145,10 @@ pub fn build_cortexm0() -> CortexM0Core {
             &Word::from_bits(vec![gated]),
             not_stall,
             0,
-            &format!("ex_sel_{}", f.mnemonic().replace(['(', ')', ',', '<', '>'], "_")),
+            &format!(
+                "ex_sel_{}",
+                f.mnemonic().replace(['(', ')', ',', '<', '>'], "_")
+            ),
         );
         ex_sel.insert(f, q.bit(0));
     }

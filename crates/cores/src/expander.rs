@@ -6,8 +6,8 @@
 //! logic whose *low marginal cost* explains the paper's observation that
 //! removing the c-extension saves little area.
 
-use pdat_rtl::{RtlBuilder, Word};
 use pdat_netlist::NetId;
+use pdat_rtl::{RtlBuilder, Word};
 
 /// Build the expander: given the raw 32-bit fetch word, produce
 /// `(expanded_instr, is_compressed, illegal)`.
@@ -53,17 +53,9 @@ fn expand_circuit(b: &mut RtlBuilder, h: &Word) -> (Word, NetId) {
     let imm6_s12 = b.extend(&imm6, 12, true);
 
     // CL/CS word offset: {h[5], h[12:10], h[6], 2'b00} -> uimm7.
-    let immw: Word = [
-        zero,
-        zero,
-        bit(6),
-        bit(10),
-        bit(11),
-        bit(12),
-        bit(5),
-    ]
-    .into_iter()
-    .collect();
+    let immw: Word = [zero, zero, bit(6), bit(10), bit(11), bit(12), bit(5)]
+        .into_iter()
+        .collect();
     let immw12 = b.extend(&immw, 12, false);
 
     // C.ADDI16SP imm: {h[12], h[4:3], h[5], h[2], h[6], 4'b0000} signed 10.
@@ -107,9 +99,18 @@ fn expand_circuit(b: &mut RtlBuilder, h: &Word) -> (Word, NetId) {
     let immlwsp12 = b.extend(&immlwsp, 12, false);
 
     // SWSP offset: {h[8:7], h[12:9], 2'b00} unsigned 8.
-    let immswsp: Word = [zero, zero, bit(9), bit(10), bit(11), bit(12), bit(7), bit(8)]
-        .into_iter()
-        .collect();
+    let immswsp: Word = [
+        zero,
+        zero,
+        bit(9),
+        bit(10),
+        bit(11),
+        bit(12),
+        bit(7),
+        bit(8),
+    ]
+    .into_iter()
+    .collect();
     let immswsp12 = b.extend(&immswsp, 12, false);
 
     // CJ offset (12-bit signed): {h[12], h[8], h[10:9], h[6], h[7], h[2],
@@ -147,7 +148,9 @@ fn expand_circuit(b: &mut RtlBuilder, h: &Word) -> (Word, NetId) {
     .collect();
 
     // Shift amount: {h[12], h[6:2]}.
-    let shamt: Word = [bit(2), bit(3), bit(4), bit(5), bit(6)].into_iter().collect();
+    let shamt: Word = [bit(2), bit(3), bit(4), bit(5), bit(6)]
+        .into_iter()
+        .collect();
 
     // Builders for each 32-bit format.
     let opcode = |b: &mut RtlBuilder, v: u64| b.constant(v, 7);
@@ -294,7 +297,13 @@ fn expand_circuit(b: &mut RtlBuilder, h: &Word) -> (Word, NetId) {
         .concat(&rs1p)
         .concat(&imm6_s12);
     // R-type ops: funct7 rs2 rs1 f3 rd opcode.
-    let rtype = |b: &mut RtlBuilder, f7: u64, rs2w: &Word, rs1w: &Word, funct3: &Word, rdw: &Word| -> Word {
+    let rtype = |b: &mut RtlBuilder,
+                 f7: u64,
+                 rs2w: &Word,
+                 rs1w: &Word,
+                 funct3: &Word,
+                 rdw: &Word|
+     -> Word {
         let f7w = b.constant(f7, 7);
         op_op
             .concat(rdw)

@@ -153,14 +153,7 @@ mod tests {
         let regs: Vec<u32> = (0..32).map(|r| h.reg(r)).collect();
         let dmem = h.dmem.clone();
         let cycles = h.cycles();
-        (
-            IbexCoreBox {
-                regs,
-                dmem,
-                cycles,
-            },
-            done,
-        )
+        (IbexCoreBox { regs, dmem, cycles }, done)
     }
 
     struct IbexCoreBox {
@@ -263,7 +256,10 @@ mod tests {
         assert_eq!(s.regs[7], 0xDEAD);
         assert_eq!(s.regs[8], 0xFF);
         assert_eq!(s.regs[9], 0xBDFF);
-        assert_eq!(u32::from_le_bytes(s.dmem[64..68].try_into().unwrap()), 0xDEADBDFF);
+        assert_eq!(
+            u32::from_le_bytes(s.dmem[64..68].try_into().unwrap()),
+            0xDEADBDFF
+        );
     }
 
     #[test]
@@ -295,7 +291,11 @@ mod tests {
         assert_eq!(s.regs[11], u32::MAX);
         assert_eq!(s.regs[12] as i32, -7);
         // 8 mul/div at ~33 cycles each dominate: sanity-check stalling.
-        assert!(s.cycles > 8 * 30, "expected stalls, got {} cycles", s.cycles);
+        assert!(
+            s.cycles > 8 * 30,
+            "expected stalls, got {} cycles",
+            s.cycles
+        );
     }
 
     #[test]
@@ -332,10 +332,10 @@ mod tests {
     fn compressed_branches_and_jumps() {
         let mut a = Assembler::new();
         a.emit_c(e::c_li(8, 0)); // x8 = 0
-        // c.bnez x8 forward +6 (should NOT branch)
+                                 // c.bnez x8 forward +6 (should NOT branch)
         a.emit_c(e::c_bnez(8, 6));
         a.emit_c(e::c_addi(8, 1)); // executed: x8 = 1
-        // c.beqz x9 (x9==0) forward +4: skip next
+                                   // c.beqz x9 (x9==0) forward +4: skip next
         a.emit_c(e::c_beqz(9, 4));
         a.emit_c(e::c_addi(8, 8)); // skipped
         a.emit_c(e::c_li(10, 5)); // x10 = 5
@@ -609,7 +609,7 @@ mod m0_tests {
         let top = a.here();
         a.emit(t_add_reg(1, 1, 0));
         a.emit(t_sub_imm8(0, 1)); // sets flags
-        // bne top
+                                  // bne top
         let off = top as i64 - (a.here() as i64 + 4);
         a.emit(t_b_cond(Cond::Ne, off as i32));
         a.emit(t_mov_imm(2, 1));
@@ -638,7 +638,10 @@ mod m0_tests {
         assert_eq!(s.regs[3], 0xCD);
         assert_eq!(s.regs[4], 0xABCD);
         assert_eq!(s.regs[5], 0xCD);
-        assert_eq!(u32::from_le_bytes(s.dmem[64..68].try_into().unwrap()), 0xABCD);
+        assert_eq!(
+            u32::from_le_bytes(s.dmem[64..68].try_into().unwrap()),
+            0xABCD
+        );
     }
 
     #[test]
@@ -658,7 +661,7 @@ mod m0_tests {
     fn push_pop_roundtrip() {
         let mut a = ThumbAssembler::new();
         a.emit(t_mov_imm(0, 0x80)); // sp value
-        // mov sp, r0 : hi-reg MOV with Rd=SP (encoding 0x4685)
+                                    // mov sp, r0 : hi-reg MOV with Rd=SP (encoding 0x4685)
         a.emit(0x4685);
         a.emit(t_mov_imm(1, 11));
         a.emit(t_mov_imm(2, 22));
@@ -684,7 +687,7 @@ mod m0_tests {
         a.bind(func);
         a.emit(t_mov_imm(1, 2));
         a.emit(t_bx(14)); // return via LR
-        // retires: mov, bl(pair counts 2 retire strobes), mov r1, bx, mov r2
+                          // retires: mov, bl(pair counts 2 retire strobes), mov r1, bx, mov r2
         let (s, _) = run(a.finish(), 6, 100);
         assert_eq!(s.regs[0], 1);
         assert_eq!(s.regs[1], 2);

@@ -75,11 +75,15 @@ pub fn build_ibex() -> IbexCore {
     let fwd = |b: &mut RtlBuilder, name: &str| -> NetId { b.raw_net(name) };
     let stall_w = fwd(&mut b, "stall_w");
     let redirect_w = fwd(&mut b, "redirect_w");
-    let target_w: Word = (0..32).map(|i| fwd(&mut b, &format!("target_w{i}"))).collect();
+    let target_w: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("target_w{i}")))
+        .collect();
 
     // pc_f register.
     // next_pc_f = redirect ? target : (stall ? pc_f : pc_f + step)
-    let pc_f_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("pc_f_fb{i}"))).collect();
+    let pc_f_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("pc_f_fb{i}")))
+        .collect();
     let two = b.constant(2, 32);
     let four = b.constant(4, 32);
     let step = b.mux_word(fetch_is32, &four, &two);
@@ -123,15 +127,20 @@ pub fn build_ibex() -> IbexCore {
     let m = |f: RvInstr| -> NetId { sel[&f] };
     use RvInstr::*;
 
-    let group = |b: &mut RtlBuilder, fs: &[RvInstr], sel: &std::collections::HashMap<RvInstr, NetId>| {
-        let bits: Vec<NetId> = fs.iter().map(|f| sel[f]).collect();
-        b.or_many(&bits)
-    };
+    let group =
+        |b: &mut RtlBuilder, fs: &[RvInstr], sel: &std::collections::HashMap<RvInstr, NetId>| {
+            let bits: Vec<NetId> = fs.iter().map(|f| sel[f]).collect();
+            b.or_many(&bits)
+        };
 
     let is_branch = group(&mut b, &[Beq, Bne, Blt, Bge, Bltu, Bgeu], &sel);
     let is_load = group(&mut b, &[Lb, Lh, Lw, Lbu, Lhu], &sel);
     let is_store = group(&mut b, &[Sb, Sh, Sw], &sel);
-    let is_opimm = group(&mut b, &[Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai], &sel);
+    let is_opimm = group(
+        &mut b,
+        &[Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai],
+        &sel,
+    );
     let is_op = group(
         &mut b,
         &[Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And],
@@ -144,8 +153,20 @@ pub fn build_ibex() -> IbexCore {
     let is_fence = group(&mut b, &[Fence, FenceI], &sel);
     let any_known = {
         let groups = [
-            m(Lui), m(Auipc), m(Jal), m(Jalr), is_branch, is_load, is_store, is_opimm,
-            is_op, is_muldiv, is_csr, is_fence, m(Ecall), m(Ebreak),
+            m(Lui),
+            m(Auipc),
+            m(Jal),
+            m(Jalr),
+            is_branch,
+            is_load,
+            is_store,
+            is_opimm,
+            is_op,
+            is_muldiv,
+            is_csr,
+            is_fence,
+            m(Ecall),
+            m(Ebreak),
         ];
         b.or_many(&groups)
     };
@@ -158,7 +179,9 @@ pub fn build_ibex() -> IbexCore {
     let rd_a = instr32.slice(7, 12);
     // Write port wires (resolved at the end).
     let rf_wen = fwd(&mut b, "rf_wen_w");
-    let rf_wdata: Word = (0..32).map(|i| fwd(&mut b, &format!("rf_wdata_w{i}"))).collect();
+    let rf_wdata: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("rf_wdata_w{i}")))
+        .collect();
     let x0 = b.constant(0, 32);
     let mut regs: Vec<Word> = Vec::with_capacity(32);
     regs.push(x0.clone());
@@ -185,9 +208,16 @@ pub fn build_ibex() -> IbexCore {
     let imm_b = {
         let w: Word = [
             zero,
-            instr32.bit(8), instr32.bit(9), instr32.bit(10), instr32.bit(11),
-            instr32.bit(25), instr32.bit(26), instr32.bit(27), instr32.bit(28),
-            instr32.bit(29), instr32.bit(30),
+            instr32.bit(8),
+            instr32.bit(9),
+            instr32.bit(10),
+            instr32.bit(11),
+            instr32.bit(25),
+            instr32.bit(26),
+            instr32.bit(27),
+            instr32.bit(28),
+            instr32.bit(29),
+            instr32.bit(30),
             instr32.bit(7),
             sign,
         ]
@@ -203,12 +233,25 @@ pub fn build_ibex() -> IbexCore {
     let imm_j = {
         let w: Word = [
             zero,
-            instr32.bit(21), instr32.bit(22), instr32.bit(23), instr32.bit(24),
-            instr32.bit(25), instr32.bit(26), instr32.bit(27), instr32.bit(28),
-            instr32.bit(29), instr32.bit(30),
+            instr32.bit(21),
+            instr32.bit(22),
+            instr32.bit(23),
+            instr32.bit(24),
+            instr32.bit(25),
+            instr32.bit(26),
+            instr32.bit(27),
+            instr32.bit(28),
+            instr32.bit(29),
+            instr32.bit(30),
             instr32.bit(20),
-            instr32.bit(12), instr32.bit(13), instr32.bit(14), instr32.bit(15),
-            instr32.bit(16), instr32.bit(17), instr32.bit(18), instr32.bit(19),
+            instr32.bit(12),
+            instr32.bit(13),
+            instr32.bit(14),
+            instr32.bit(15),
+            instr32.bit(16),
+            instr32.bit(17),
+            instr32.bit(18),
+            instr32.bit(19),
             sign,
         ]
         .into_iter()
@@ -392,9 +435,15 @@ pub fn build_ibex() -> IbexCore {
         let nb_ = b.not(busy_fb);
         b.and2(req, nb_)
     };
-    let cnt_fb: Word = (0..6).map(|i| fwd(&mut b, &format!("md_cnt_fb{i}"))).collect();
-    let acc_lo_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("md_lo_fb{i}"))).collect();
-    let acc_hi_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("md_hi_fb{i}"))).collect();
+    let cnt_fb: Word = (0..6)
+        .map(|i| fwd(&mut b, &format!("md_cnt_fb{i}")))
+        .collect();
+    let acc_lo_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("md_lo_fb{i}")))
+        .collect();
+    let acc_hi_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("md_hi_fb{i}")))
+        .collect();
 
     // Multiply step: if lo[0], hi += rs1 (unsigned); shift {c,hi,lo} right.
     let addend = {
@@ -533,12 +582,24 @@ pub fn build_ibex() -> IbexCore {
     let c_mcause = b.match_pattern(&csr_a, 0xFFF, 0x342);
     let c_mcycle = b.match_pattern(&csr_a, 0xFFF, 0xB00);
 
-    let mstatus_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("mstatus_fb{i}"))).collect();
-    let mtvec_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("mtvec_fb{i}"))).collect();
-    let mscratch_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("mscratch_fb{i}"))).collect();
-    let mepc_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("mepc_fb{i}"))).collect();
-    let mcause_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("mcause_fb{i}"))).collect();
-    let mcycle_fb: Word = (0..32).map(|i| fwd(&mut b, &format!("mcycle_fb{i}"))).collect();
+    let mstatus_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("mstatus_fb{i}")))
+        .collect();
+    let mtvec_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("mtvec_fb{i}")))
+        .collect();
+    let mscratch_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("mscratch_fb{i}")))
+        .collect();
+    let mepc_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("mepc_fb{i}")))
+        .collect();
+    let mcause_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("mcause_fb{i}")))
+        .collect();
+    let mcycle_fb: Word = (0..32)
+        .map(|i| fwd(&mut b, &format!("mcycle_fb{i}")))
+        .collect();
 
     let mut csr_rdata = b.constant(0, 32);
     csr_rdata = b.mux_word(c_mstatus, &mstatus_fb, &csr_rdata);
@@ -580,7 +641,15 @@ pub fn build_ibex() -> IbexCore {
         b.and2(x, nt)
     };
 
-    let wr = |b: &mut RtlBuilder, fbw: &Word, sel_csr: NetId, csr_we: NetId, wdata: &Word, extra_we: Option<(NetId, &Word)>, init: u64, name: &str| -> Word {
+    let wr = |b: &mut RtlBuilder,
+              fbw: &Word,
+              sel_csr: NetId,
+              csr_we: NetId,
+              wdata: &Word,
+              extra_we: Option<(NetId, &Word)>,
+              init: u64,
+              name: &str|
+     -> Word {
         let we = b.and2(sel_csr, csr_we);
         let mut next = b.mux_word(we, wdata, fbw);
         if let Some((ew, ev)) = extra_we {
@@ -591,13 +660,38 @@ pub fn build_ibex() -> IbexCore {
         q
     };
 
-    let _mstatus = wr(&mut b, &mstatus_fb, c_mstatus, csr_we, &csr_wdata, None, 0, "mstatus");
-    let mtvec = wr(&mut b, &mtvec_fb, c_mtvec, csr_we, &csr_wdata, None, 0, "mtvec");
-    let _mscratch = wr(&mut b, &mscratch_fb, c_mscratch, csr_we, &csr_wdata, None, 0, "mscratch");
+    let _mstatus = wr(
+        &mut b,
+        &mstatus_fb,
+        c_mstatus,
+        csr_we,
+        &csr_wdata,
+        None,
+        0,
+        "mstatus",
+    );
+    let mtvec = wr(
+        &mut b, &mtvec_fb, c_mtvec, csr_we, &csr_wdata, None, 0, "mtvec",
+    );
+    let _mscratch = wr(
+        &mut b,
+        &mscratch_fb,
+        c_mscratch,
+        csr_we,
+        &csr_wdata,
+        None,
+        0,
+        "mscratch",
+    );
     let _mepc = wr(
-        &mut b, &mepc_fb, c_mepc, csr_we, &csr_wdata,
+        &mut b,
+        &mepc_fb,
+        c_mepc,
+        csr_we,
+        &csr_wdata,
         Some((trap, &pipe_pc)),
-        0, "mepc",
+        0,
+        "mepc",
     );
     // mcause value on trap: 2 (illegal), 3 (ebreak), 11 (ecall).
     let cause = {
@@ -608,9 +702,14 @@ pub fn build_ibex() -> IbexCore {
         b.mux_word(m(Ecall), &c11, &x)
     };
     let _mcause = wr(
-        &mut b, &mcause_fb, c_mcause, csr_we, &csr_wdata,
+        &mut b,
+        &mcause_fb,
+        c_mcause,
+        csr_we,
+        &csr_wdata,
         Some((trap, &cause)),
-        0, "mcause",
+        0,
+        "mcause",
     );
     // mcycle free-runs (write overrides increment).
     let mcycle_plus = {
@@ -696,11 +795,7 @@ pub fn build_ibex() -> IbexCore {
         b.and2(data_we, nt)
     };
     b.output_bit("data_we_o", data_we);
-    let be_gated: Word = be
-        .bits()
-        .iter()
-        .map(|&x| b.and2(x, data_we))
-        .collect();
+    let be_gated: Word = be.bits().iter().map(|&x| b.and2(x, data_we)).collect();
     b.output_word("data_be_o", &be_gated);
     let data_req = {
         let l = b.and2(is_load, exec_v);

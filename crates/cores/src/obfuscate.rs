@@ -122,7 +122,11 @@ pub fn obfuscate(nl: &Netlist, config: &ObfuscateConfig) -> (Netlist, HashMap<Ne
             let decoy = map[&decoy_src];
             // MUX(sel=key, t, e) with the real value on the leg the key
             // actually selects.
-            let (t, e) = if key_val { (real, decoy) } else { (decoy, real) };
+            let (t, e) = if key_val {
+                (real, decoy)
+            } else {
+                (decoy, real)
+            };
             let muxed = mux_nand(&mut out, key_q, t, e);
             out.assign_alias(target, muxed);
         } else {

@@ -133,7 +133,9 @@ pub fn build_ridecore() -> RideCore {
             let p = f.pattern();
             hit.insert(f, b.match_pattern(instr, p.mask as u64, p.value as u64));
         }
-        let g = |b: &mut RtlBuilder, fs: &[RvInstr], hit: &std::collections::HashMap<RvInstr, NetId>| {
+        let g = |b: &mut RtlBuilder,
+                 fs: &[RvInstr],
+                 hit: &std::collections::HashMap<RvInstr, NetId>| {
             let bits: Vec<NetId> = fs.iter().map(|f| hit[f]).collect();
             b.or_many(&bits)
         };
@@ -146,8 +148,8 @@ pub fn build_ridecore() -> RideCore {
         let is_alu = g(
             b,
             &[
-                Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai, Add, Sub, Sll, Slt,
-                Sltu, Xor, Srl, Sra, Or, And, Lui, Auipc,
+                Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai, Add, Sub, Sll, Slt, Sltu,
+                Xor, Srl, Sra, Or, And, Lui, Auipc,
             ],
             &hit,
         );
@@ -159,7 +161,9 @@ pub fn build_ridecore() -> RideCore {
         let uses_rs2 = {
             let r = g(
                 b,
-                &[Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Mul, Mulh, Mulhsu, Mulhu],
+                &[
+                    Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Mul, Mulh, Mulhsu, Mulhu,
+                ],
                 &hit,
             );
             let x = b.or2(r, is_branch);
@@ -291,7 +295,10 @@ pub fn build_ridecore() -> RideCore {
     }
     // Commit: advance head when the head entry is valid & done.
     let head_valid = {
-        let vals: Vec<Word> = rob_valid.iter().map(|&v| Word::from_bits(vec![v])).collect();
+        let vals: Vec<Word> = rob_valid
+            .iter()
+            .map(|&v| Word::from_bits(vec![v]))
+            .collect();
         b.regfile_read(&vals, &rob_head_fb).bit(0)
     };
     let head_done = {
@@ -325,7 +332,11 @@ pub fn build_ridecore() -> RideCore {
         .concat(&alloc0)
         .concat(&rob_tail_fb)
         .concat(&d0.imm)
-        .concat(&Word::from_bits(vec![d0.uses_rs2, d0.is_branch, d0.is_load]));
+        .concat(&Word::from_bits(vec![
+            d0.uses_rs2,
+            d0.is_branch,
+            d0.is_load,
+        ]));
     let payload1: Word = d1
         .op
         .concat(&src1a)
@@ -333,7 +344,11 @@ pub fn build_ridecore() -> RideCore {
         .concat(&alloc1)
         .concat(&tail1)
         .concat(&d1.imm)
-        .concat(&Word::from_bits(vec![d1.uses_rs2, d1.is_branch, d1.is_load]));
+        .concat(&Word::from_bits(vec![
+            d1.uses_rs2,
+            d1.is_branch,
+            d1.is_load,
+        ]));
     let payload_w = payload0.width();
 
     let mut iq_valid: Vec<NetId> = Vec::with_capacity(IQ_ENTRIES);
@@ -616,7 +631,11 @@ mod tests {
             "expected ~100k-gate scale, got {}",
             stats.gate_count
         );
-        assert!(stats.dff_count > 5_000, "OoO state: got {} DFFs", stats.dff_count);
+        assert!(
+            stats.dff_count > 5_000,
+            "OoO state: got {} DFFs",
+            stats.dff_count
+        );
     }
 
     #[test]

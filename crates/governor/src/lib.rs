@@ -175,7 +175,11 @@ impl FaultPlan {
         let d = splitmix64(&mut s);
         let e = splitmix64(&mut s);
         FaultPlan {
-            solver_unknown_after_conflicts: if a & 1 == 1 { Some(a >> 1 & 0x3F) } else { None },
+            solver_unknown_after_conflicts: if a & 1 == 1 {
+                Some(a >> 1 & 0x3F)
+            } else {
+                None
+            },
             sim_panic_at: if b & 1 == 1 {
                 Some((b >> 1 & 0x3, b >> 3 & 0x1F))
             } else {
@@ -465,7 +469,9 @@ mod tests {
             assert_eq!(FaultPlan::from_seed(seed), FaultPlan::from_seed(seed));
         }
         // The seed space actually exercises every kind of fault.
-        assert!((0..64).any(|s| FaultPlan::from_seed(s).solver_unknown_after_conflicts.is_some()));
+        assert!((0..64).any(|s| FaultPlan::from_seed(s)
+            .solver_unknown_after_conflicts
+            .is_some()));
         assert!((0..64).any(|s| FaultPlan::from_seed(s).sim_panic_at.is_some()));
         assert!((0..64).any(|s| FaultPlan::from_seed(s).io_fail_after_writes.is_some()));
         assert!((0..64).any(|s| FaultPlan::from_seed(s).worker_panic_on_request.is_some()));

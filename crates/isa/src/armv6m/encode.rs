@@ -206,13 +206,28 @@ pub fn t_ldrsh_reg(rt: u32, rn: u32, rm: u32) -> u16 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // standard ARM condition mnemonics
 pub enum Cond {
-    Eq = 0, Ne = 1, Cs = 2, Cc = 3, Mi = 4, Pl = 5, Vs = 6, Vc = 7,
-    Hi = 8, Ls = 9, Ge = 10, Lt = 11, Gt = 12, Le = 13,
+    Eq = 0,
+    Ne = 1,
+    Cs = 2,
+    Cc = 3,
+    Mi = 4,
+    Pl = 5,
+    Vs = 6,
+    Vc = 7,
+    Hi = 8,
+    Ls = 9,
+    Ge = 10,
+    Lt = 11,
+    Gt = 12,
+    Le = 13,
 }
 
 /// `b<cond> byte_offset` (offset relative to PC+4, even, ±256).
 pub fn t_b_cond(cond: Cond, off: i32) -> u16 {
-    debug_assert!(off % 2 == 0 && (-256..=254).contains(&off), "Bcond off {off}");
+    debug_assert!(
+        off % 2 == 0 && (-256..=254).contains(&off),
+        "Bcond off {off}"
+    );
     0xD000 | (cond as u16) << 8 | ((off >> 1) as u16 & 0xFF)
 }
 
@@ -262,7 +277,10 @@ pub fn t_bl(off: i32) -> (u16, u16) {
     let imm11 = (off >> 1 & 0x7FF) as u16;
     let j1 = !(i1 ^ s) & 1;
     let j2 = !(i2 ^ s) & 1;
-    (0xF000 | s << 10 | imm10, 0xD000 | j1 << 13 | j2 << 11 | imm11)
+    (
+        0xF000 | s << 10 | imm10,
+        0xD000 | j1 << 13 | j2 << 11 | imm11,
+    )
 }
 
 #[cfg(test)]

@@ -23,30 +23,88 @@ use std::fmt;
 #[allow(missing_docs)] // variants are the ISA's own mnemonics
 pub enum ThumbInstr {
     Adcs,
-    AddsReg, AddsImm3, AddsImm8, AddRegHigh,
-    AddSpImmT1, AddSpImmT2, AddSpReg,
-    Adr, Ands,
-    AsrsImm, AsrsReg,
-    BCond, B,
-    Bics, Bkpt, Bl, BlxReg, Bx,
-    Cmn, CmpImm, CmpReg, CmpRegHigh,
-    Cps, Dmb, Dsb,
-    Eors, Isb,
+    AddsReg,
+    AddsImm3,
+    AddsImm8,
+    AddRegHigh,
+    AddSpImmT1,
+    AddSpImmT2,
+    AddSpReg,
+    Adr,
+    Ands,
+    AsrsImm,
+    AsrsReg,
+    BCond,
+    B,
+    Bics,
+    Bkpt,
+    Bl,
+    BlxReg,
+    Bx,
+    Cmn,
+    CmpImm,
+    CmpReg,
+    CmpRegHigh,
+    Cps,
+    Dmb,
+    Dsb,
+    Eors,
+    Isb,
     Ldm,
-    LdrImm, LdrSp, LdrLit, LdrReg,
-    LdrbImm, LdrbReg, LdrhImm, LdrhReg,
-    LdrsbReg, LdrshReg,
-    LslsImm, LslsReg, LsrsImm, LsrsReg,
-    MovImm, MovRegHigh, MovsReg,
-    Mrs, Msr, Muls, Mvns, Nop,
-    Orrs, Pop, Push,
-    Rev, Rev16, Revsh, Rors, Rsbs, Sbcs, Sev,
+    LdrImm,
+    LdrSp,
+    LdrLit,
+    LdrReg,
+    LdrbImm,
+    LdrbReg,
+    LdrhImm,
+    LdrhReg,
+    LdrsbReg,
+    LdrshReg,
+    LslsImm,
+    LslsReg,
+    LsrsImm,
+    LsrsReg,
+    MovImm,
+    MovRegHigh,
+    MovsReg,
+    Mrs,
+    Msr,
+    Muls,
+    Mvns,
+    Nop,
+    Orrs,
+    Pop,
+    Push,
+    Rev,
+    Rev16,
+    Revsh,
+    Rors,
+    Rsbs,
+    Sbcs,
+    Sev,
     Stm,
-    StrImm, StrSp, StrReg,
-    StrbImm, StrbReg, StrhImm, StrhReg,
-    SubsReg, SubsImm3, SubsImm8, SubSpImm,
-    Svc, Sxtb, Sxth, Tst, Udf,
-    Uxtb, Uxth, Wfe, Wfi, Yield,
+    StrImm,
+    StrSp,
+    StrReg,
+    StrbImm,
+    StrbReg,
+    StrhImm,
+    StrhReg,
+    SubsReg,
+    SubsImm3,
+    SubsImm8,
+    SubSpImm,
+    Svc,
+    Sxtb,
+    Sxth,
+    Tst,
+    Udf,
+    Uxtb,
+    Uxth,
+    Wfe,
+    Wfi,
+    Yield,
 }
 
 /// Coarse functional class (drives the paper's "interesting subset"
@@ -74,44 +132,91 @@ impl ThumbInstr {
     /// All 83 forms in decoder priority order (specific before generic).
     pub const ALL: [ThumbInstr; 83] = [
         // 32-bit forms first: they are identified by the hw1 prefix.
-        ThumbInstr::Bl, ThumbInstr::Mrs, ThumbInstr::Msr,
-        ThumbInstr::Dmb, ThumbInstr::Dsb, ThumbInstr::Isb,
+        ThumbInstr::Bl,
+        ThumbInstr::Mrs,
+        ThumbInstr::Msr,
+        ThumbInstr::Dmb,
+        ThumbInstr::Dsb,
+        ThumbInstr::Isb,
         // MOVS (reg) is LSLS #0 — must precede LslsImm.
         ThumbInstr::MovsReg,
-        ThumbInstr::LslsImm, ThumbInstr::LsrsImm, ThumbInstr::AsrsImm,
-        ThumbInstr::AddsReg, ThumbInstr::SubsReg,
-        ThumbInstr::AddsImm3, ThumbInstr::SubsImm3,
-        ThumbInstr::MovImm, ThumbInstr::CmpImm,
-        ThumbInstr::AddsImm8, ThumbInstr::SubsImm8,
-        ThumbInstr::Ands, ThumbInstr::Eors,
-        ThumbInstr::LslsReg, ThumbInstr::LsrsReg, ThumbInstr::AsrsReg,
-        ThumbInstr::Adcs, ThumbInstr::Sbcs, ThumbInstr::Rors,
-        ThumbInstr::Tst, ThumbInstr::Rsbs,
-        ThumbInstr::CmpReg, ThumbInstr::Cmn,
-        ThumbInstr::Orrs, ThumbInstr::Muls, ThumbInstr::Bics, ThumbInstr::Mvns,
+        ThumbInstr::LslsImm,
+        ThumbInstr::LsrsImm,
+        ThumbInstr::AsrsImm,
+        ThumbInstr::AddsReg,
+        ThumbInstr::SubsReg,
+        ThumbInstr::AddsImm3,
+        ThumbInstr::SubsImm3,
+        ThumbInstr::MovImm,
+        ThumbInstr::CmpImm,
+        ThumbInstr::AddsImm8,
+        ThumbInstr::SubsImm8,
+        ThumbInstr::Ands,
+        ThumbInstr::Eors,
+        ThumbInstr::LslsReg,
+        ThumbInstr::LsrsReg,
+        ThumbInstr::AsrsReg,
+        ThumbInstr::Adcs,
+        ThumbInstr::Sbcs,
+        ThumbInstr::Rors,
+        ThumbInstr::Tst,
+        ThumbInstr::Rsbs,
+        ThumbInstr::CmpReg,
+        ThumbInstr::Cmn,
+        ThumbInstr::Orrs,
+        ThumbInstr::Muls,
+        ThumbInstr::Bics,
+        ThumbInstr::Mvns,
         // Hi-register group; ADD SP+reg is a special case of AddRegHigh.
-        ThumbInstr::AddSpReg, ThumbInstr::AddRegHigh,
-        ThumbInstr::CmpRegHigh, ThumbInstr::MovRegHigh,
-        ThumbInstr::Bx, ThumbInstr::BlxReg,
+        ThumbInstr::AddSpReg,
+        ThumbInstr::AddRegHigh,
+        ThumbInstr::CmpRegHigh,
+        ThumbInstr::MovRegHigh,
+        ThumbInstr::Bx,
+        ThumbInstr::BlxReg,
         ThumbInstr::LdrLit,
-        ThumbInstr::StrReg, ThumbInstr::StrhReg, ThumbInstr::StrbReg,
-        ThumbInstr::LdrsbReg, ThumbInstr::LdrReg, ThumbInstr::LdrhReg,
-        ThumbInstr::LdrbReg, ThumbInstr::LdrshReg,
-        ThumbInstr::StrImm, ThumbInstr::LdrImm,
-        ThumbInstr::StrbImm, ThumbInstr::LdrbImm,
-        ThumbInstr::StrhImm, ThumbInstr::LdrhImm,
-        ThumbInstr::StrSp, ThumbInstr::LdrSp,
-        ThumbInstr::Adr, ThumbInstr::AddSpImmT1,
-        ThumbInstr::AddSpImmT2, ThumbInstr::SubSpImm,
-        ThumbInstr::Sxth, ThumbInstr::Sxtb, ThumbInstr::Uxth, ThumbInstr::Uxtb,
-        ThumbInstr::Push, ThumbInstr::Cps,
-        ThumbInstr::Rev, ThumbInstr::Rev16, ThumbInstr::Revsh,
-        ThumbInstr::Pop, ThumbInstr::Bkpt,
+        ThumbInstr::StrReg,
+        ThumbInstr::StrhReg,
+        ThumbInstr::StrbReg,
+        ThumbInstr::LdrsbReg,
+        ThumbInstr::LdrReg,
+        ThumbInstr::LdrhReg,
+        ThumbInstr::LdrbReg,
+        ThumbInstr::LdrshReg,
+        ThumbInstr::StrImm,
+        ThumbInstr::LdrImm,
+        ThumbInstr::StrbImm,
+        ThumbInstr::LdrbImm,
+        ThumbInstr::StrhImm,
+        ThumbInstr::LdrhImm,
+        ThumbInstr::StrSp,
+        ThumbInstr::LdrSp,
+        ThumbInstr::Adr,
+        ThumbInstr::AddSpImmT1,
+        ThumbInstr::AddSpImmT2,
+        ThumbInstr::SubSpImm,
+        ThumbInstr::Sxth,
+        ThumbInstr::Sxtb,
+        ThumbInstr::Uxth,
+        ThumbInstr::Uxtb,
+        ThumbInstr::Push,
+        ThumbInstr::Cps,
+        ThumbInstr::Rev,
+        ThumbInstr::Rev16,
+        ThumbInstr::Revsh,
+        ThumbInstr::Pop,
+        ThumbInstr::Bkpt,
         // Hints: exact matches before anything generic.
-        ThumbInstr::Nop, ThumbInstr::Yield, ThumbInstr::Wfe, ThumbInstr::Wfi,
+        ThumbInstr::Nop,
+        ThumbInstr::Yield,
+        ThumbInstr::Wfe,
+        ThumbInstr::Wfi,
         ThumbInstr::Sev,
-        ThumbInstr::Stm, ThumbInstr::Ldm,
-        ThumbInstr::Udf, ThumbInstr::Svc, ThumbInstr::BCond,
+        ThumbInstr::Stm,
+        ThumbInstr::Ldm,
+        ThumbInstr::Udf,
+        ThumbInstr::Svc,
+        ThumbInstr::BCond,
         ThumbInstr::B,
     ];
 
@@ -120,40 +225,88 @@ impl ThumbInstr {
         use ThumbInstr::*;
         match self {
             Adcs => "adcs",
-            AddsReg => "adds(reg)", AddsImm3 => "adds(imm3)", AddsImm8 => "adds(imm8)",
+            AddsReg => "adds(reg)",
+            AddsImm3 => "adds(imm3)",
+            AddsImm8 => "adds(imm8)",
             AddRegHigh => "add(reg,hi)",
-            AddSpImmT1 => "add(rd,sp,imm)", AddSpImmT2 => "add(sp,imm)",
+            AddSpImmT1 => "add(rd,sp,imm)",
+            AddSpImmT2 => "add(sp,imm)",
             AddSpReg => "add(sp,reg)",
-            Adr => "adr", Ands => "ands",
-            AsrsImm => "asrs(imm)", AsrsReg => "asrs(reg)",
-            BCond => "b<c>", B => "b",
-            Bics => "bics", Bkpt => "bkpt", Bl => "bl", BlxReg => "blx", Bx => "bx",
-            Cmn => "cmn", CmpImm => "cmp(imm)", CmpReg => "cmp(reg)",
+            Adr => "adr",
+            Ands => "ands",
+            AsrsImm => "asrs(imm)",
+            AsrsReg => "asrs(reg)",
+            BCond => "b<c>",
+            B => "b",
+            Bics => "bics",
+            Bkpt => "bkpt",
+            Bl => "bl",
+            BlxReg => "blx",
+            Bx => "bx",
+            Cmn => "cmn",
+            CmpImm => "cmp(imm)",
+            CmpReg => "cmp(reg)",
             CmpRegHigh => "cmp(reg,hi)",
-            Cps => "cps", Dmb => "dmb", Dsb => "dsb",
-            Eors => "eors", Isb => "isb",
+            Cps => "cps",
+            Dmb => "dmb",
+            Dsb => "dsb",
+            Eors => "eors",
+            Isb => "isb",
             Ldm => "ldm",
-            LdrImm => "ldr(imm)", LdrSp => "ldr(sp)", LdrLit => "ldr(lit)",
+            LdrImm => "ldr(imm)",
+            LdrSp => "ldr(sp)",
+            LdrLit => "ldr(lit)",
             LdrReg => "ldr(reg)",
-            LdrbImm => "ldrb(imm)", LdrbReg => "ldrb(reg)",
-            LdrhImm => "ldrh(imm)", LdrhReg => "ldrh(reg)",
-            LdrsbReg => "ldrsb", LdrshReg => "ldrsh",
-            LslsImm => "lsls(imm)", LslsReg => "lsls(reg)",
-            LsrsImm => "lsrs(imm)", LsrsReg => "lsrs(reg)",
-            MovImm => "movs(imm)", MovRegHigh => "mov(reg,hi)", MovsReg => "movs(reg)",
-            Mrs => "mrs", Msr => "msr", Muls => "muls", Mvns => "mvns", Nop => "nop",
-            Orrs => "orrs", Pop => "pop", Push => "push",
-            Rev => "rev", Rev16 => "rev16", Revsh => "revsh",
-            Rors => "rors", Rsbs => "rsbs", Sbcs => "sbcs", Sev => "sev",
+            LdrbImm => "ldrb(imm)",
+            LdrbReg => "ldrb(reg)",
+            LdrhImm => "ldrh(imm)",
+            LdrhReg => "ldrh(reg)",
+            LdrsbReg => "ldrsb",
+            LdrshReg => "ldrsh",
+            LslsImm => "lsls(imm)",
+            LslsReg => "lsls(reg)",
+            LsrsImm => "lsrs(imm)",
+            LsrsReg => "lsrs(reg)",
+            MovImm => "movs(imm)",
+            MovRegHigh => "mov(reg,hi)",
+            MovsReg => "movs(reg)",
+            Mrs => "mrs",
+            Msr => "msr",
+            Muls => "muls",
+            Mvns => "mvns",
+            Nop => "nop",
+            Orrs => "orrs",
+            Pop => "pop",
+            Push => "push",
+            Rev => "rev",
+            Rev16 => "rev16",
+            Revsh => "revsh",
+            Rors => "rors",
+            Rsbs => "rsbs",
+            Sbcs => "sbcs",
+            Sev => "sev",
             Stm => "stm",
-            StrImm => "str(imm)", StrSp => "str(sp)", StrReg => "str(reg)",
-            StrbImm => "strb(imm)", StrbReg => "strb(reg)",
-            StrhImm => "strh(imm)", StrhReg => "strh(reg)",
-            SubsReg => "subs(reg)", SubsImm3 => "subs(imm3)", SubsImm8 => "subs(imm8)",
+            StrImm => "str(imm)",
+            StrSp => "str(sp)",
+            StrReg => "str(reg)",
+            StrbImm => "strb(imm)",
+            StrbReg => "strb(reg)",
+            StrhImm => "strh(imm)",
+            StrhReg => "strh(reg)",
+            SubsReg => "subs(reg)",
+            SubsImm3 => "subs(imm3)",
+            SubsImm8 => "subs(imm8)",
             SubSpImm => "sub(sp,imm)",
-            Svc => "svc", Sxtb => "sxtb", Sxth => "sxth", Tst => "tst", Udf => "udf",
-            Uxtb => "uxtb", Uxth => "uxth",
-            Wfe => "wfe", Wfi => "wfi", Yield => "yield",
+            Svc => "svc",
+            Sxtb => "sxtb",
+            Sxth => "sxth",
+            Tst => "tst",
+            Udf => "udf",
+            Uxtb => "uxtb",
+            Uxth => "uxth",
+            Wfe => "wfe",
+            Wfi => "wfi",
+            Yield => "yield",
         }
     }
 

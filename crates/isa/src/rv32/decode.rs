@@ -107,7 +107,8 @@ pub fn expand_compressed(half: u16) -> Option<u32> {
     match (op, funct3) {
         (0b00, 0b000) => {
             // C.ADDI4SPN
-            let imm = (h >> 7 & 0xF) << 6 | (h >> 11 & 0x3) << 4 | (h >> 5 & 1) << 3 | (h >> 6 & 1) << 2;
+            let imm =
+                (h >> 7 & 0xF) << 6 | (h >> 11 & 0x3) << 4 | (h >> 5 & 1) << 3 | (h >> 6 & 1) << 2;
             if imm == 0 {
                 return None;
             }
@@ -214,13 +215,13 @@ pub fn expand_compressed(half: u16) -> Option<u32> {
         (0b10, 0b100) => {
             let bit12 = h >> 12 & 1;
             match (bit12, rd, rs2) {
-                (0, 0, _) => None, // C.MV with rd=0 is a hint: unsupported
-                (0, _, 0) => Some(e::jalr(0, rd, 0)),       // C.JR
-                (0, _, _) => Some(e::add(rd, 0, rs2)),      // C.MV
-                (1, 0, 0) => Some(e::ebreak()),             // C.EBREAK
-                (1, 0, _) => None, // C.ADD with rd=0 is a hint: unsupported
-                (1, _, 0) => Some(e::jalr(1, rd, 0)),       // C.JALR
-                (1, _, _) => Some(e::add(rd, rd, rs2)),     // C.ADD
+                (0, 0, _) => None,                      // C.MV with rd=0 is a hint: unsupported
+                (0, _, 0) => Some(e::jalr(0, rd, 0)),   // C.JR
+                (0, _, _) => Some(e::add(rd, 0, rs2)),  // C.MV
+                (1, 0, 0) => Some(e::ebreak()),         // C.EBREAK
+                (1, 0, _) => None,                      // C.ADD with rd=0 is a hint: unsupported
+                (1, _, 0) => Some(e::jalr(1, rd, 0)),   // C.JALR
+                (1, _, _) => Some(e::add(rd, rd, rs2)), // C.ADD
                 _ => unreachable!(),
             }
         }
@@ -371,9 +372,15 @@ mod tests {
         assert_eq!(expand_compressed(e::c_srli(9, 2)), Some(e::srli(9, 9, 2)));
         assert_eq!(expand_compressed(e::c_srai(9, 2)), Some(e::srai(9, 9, 2)));
         // c.addi16sp -16 == addi sp, sp, -16
-        assert_eq!(expand_compressed(e::c_addi16sp(-16)), Some(e::addi(2, 2, -16)));
+        assert_eq!(
+            expand_compressed(e::c_addi16sp(-16)),
+            Some(e::addi(2, 2, -16))
+        );
         // c.addi4spn x8, 4 == addi x8, sp, 4
-        assert_eq!(expand_compressed(e::c_addi4spn(8, 4)), Some(e::addi(8, 2, 4)));
+        assert_eq!(
+            expand_compressed(e::c_addi4spn(8, 4)),
+            Some(e::addi(8, 2, 4))
+        );
         // c.lui x3, 1 == lui x3, 1
         assert_eq!(expand_compressed(e::c_lui(3, 1)), Some(e::lui(3, 1)));
         // all-zero halfword is illegal

@@ -46,7 +46,10 @@ fn u_type(imm20: u32, rd: u32, opcode: u32) -> u32 {
 
 /// J-type encoder (byte offset, must be even, ±1 MiB).
 fn j_type(off: i32, rd: u32, opcode: u32) -> u32 {
-    debug_assert!(off % 2 == 0 && (-(1 << 20)..(1 << 20)).contains(&off), "J-off {off}");
+    debug_assert!(
+        off % 2 == 0 && (-(1 << 20)..(1 << 20)).contains(&off),
+        "J-off {off}"
+    );
     let u = off as u32;
     (u >> 20 & 1) << 31
         | (u >> 1 & 0x3FF) << 21
@@ -112,20 +115,20 @@ doc_enc!(/// `ori rd, rs1, imm`.
 doc_enc!(/// `andi rd, rs1, imm`.
     andi, rd: u32, rs1: u32, imm: i32 => i_type(imm, rs1, 7, rd, 0x13));
 doc_enc!(/// `slli rd, rs1, shamt`.
-    slli, rd: u32, rs1: u32, shamt: u32 => {
-        debug_assert!(shamt < 32);
-        r_type(0, shamt, rs1, 1, rd, 0x13)
-    });
+slli, rd: u32, rs1: u32, shamt: u32 => {
+    debug_assert!(shamt < 32);
+    r_type(0, shamt, rs1, 1, rd, 0x13)
+});
 doc_enc!(/// `srli rd, rs1, shamt`.
-    srli, rd: u32, rs1: u32, shamt: u32 => {
-        debug_assert!(shamt < 32);
-        r_type(0, shamt, rs1, 5, rd, 0x13)
-    });
+srli, rd: u32, rs1: u32, shamt: u32 => {
+    debug_assert!(shamt < 32);
+    r_type(0, shamt, rs1, 5, rd, 0x13)
+});
 doc_enc!(/// `srai rd, rs1, shamt`.
-    srai, rd: u32, rs1: u32, shamt: u32 => {
-        debug_assert!(shamt < 32);
-        r_type(0x20, shamt, rs1, 5, rd, 0x13)
-    });
+srai, rd: u32, rs1: u32, shamt: u32 => {
+    debug_assert!(shamt < 32);
+    r_type(0x20, shamt, rs1, 5, rd, 0x13)
+});
 doc_enc!(/// `add rd, rs1, rs2`.
     add, rd: u32, rs1: u32, rs2: u32 => r_type(0, rs2, rs1, 0, rd, 0x33));
 doc_enc!(/// `sub rd, rs1, rs2`.
@@ -171,30 +174,33 @@ doc_enc!(/// `ecall`.
 doc_enc!(/// `ebreak`.
     ebreak, => 0x0010_0073);
 doc_enc!(/// `csrrw rd, csr, rs1`.
-    csrrw, rd: u32, csr: u32, rs1: u32 => {
-        debug_assert!(csr < 4096);
-        csr << 20 | rs1 << 15 | 1 << 12 | rd << 7 | 0x73
-    });
+csrrw, rd: u32, csr: u32, rs1: u32 => {
+    debug_assert!(csr < 4096);
+    csr << 20 | rs1 << 15 | 1 << 12 | rd << 7 | 0x73
+});
 doc_enc!(/// `csrrs rd, csr, rs1`.
-    csrrs, rd: u32, csr: u32, rs1: u32 => {
-        debug_assert!(csr < 4096);
-        csr << 20 | rs1 << 15 | 2 << 12 | rd << 7 | 0x73
-    });
+csrrs, rd: u32, csr: u32, rs1: u32 => {
+    debug_assert!(csr < 4096);
+    csr << 20 | rs1 << 15 | 2 << 12 | rd << 7 | 0x73
+});
 doc_enc!(/// `csrrc rd, csr, rs1`.
-    csrrc, rd: u32, csr: u32, rs1: u32 => {
-        debug_assert!(csr < 4096);
-        csr << 20 | rs1 << 15 | 3 << 12 | rd << 7 | 0x73
-    });
+csrrc, rd: u32, csr: u32, rs1: u32 => {
+    debug_assert!(csr < 4096);
+    csr << 20 | rs1 << 15 | 3 << 12 | rd << 7 | 0x73
+});
 doc_enc!(/// `csrrwi rd, csr, uimm5`.
-    csrrwi, rd: u32, csr: u32, uimm: u32 => {
-        debug_assert!(csr < 4096 && uimm < 32);
-        csr << 20 | uimm << 15 | 5 << 12 | rd << 7 | 0x73
-    });
+csrrwi, rd: u32, csr: u32, uimm: u32 => {
+    debug_assert!(csr < 4096 && uimm < 32);
+    csr << 20 | uimm << 15 | 5 << 12 | rd << 7 | 0x73
+});
 
 // --- Compressed encoders (return the 16-bit halfword) ---
 
 fn creg(r: u32) -> u16 {
-    debug_assert!((8..16).contains(&r), "compressed reg must be x8..x15, got x{r}");
+    debug_assert!(
+        (8..16).contains(&r),
+        "compressed reg must be x8..x15, got x{r}"
+    );
     (r - 8) as u16
 }
 
@@ -273,14 +279,24 @@ pub fn c_and(rd: u32, rs2: u32) -> u16 {
 pub fn c_lw(rd: u32, rs1: u32, uimm: u32) -> u16 {
     debug_assert!(uimm.is_multiple_of(4) && uimm < 128);
     let u = uimm as u16;
-    0x4000 | (u >> 3 & 0x7) << 10 | creg(rs1) << 7 | (u >> 2 & 1) << 6 | (u >> 6 & 1) << 5 | creg(rd) << 2
+    0x4000
+        | (u >> 3 & 0x7) << 10
+        | creg(rs1) << 7
+        | (u >> 2 & 1) << 6
+        | (u >> 6 & 1) << 5
+        | creg(rd) << 2
 }
 
 /// `c.sw rs2', uimm(rs1')`.
 pub fn c_sw(rs2: u32, rs1: u32, uimm: u32) -> u16 {
     debug_assert!(uimm.is_multiple_of(4) && uimm < 128);
     let u = uimm as u16;
-    0xC000 | (u >> 3 & 0x7) << 10 | creg(rs1) << 7 | (u >> 2 & 1) << 6 | (u >> 6 & 1) << 5 | creg(rs2) << 2
+    0xC000
+        | (u >> 3 & 0x7) << 10
+        | creg(rs1) << 7
+        | (u >> 2 & 1) << 6
+        | (u >> 6 & 1) << 5
+        | creg(rs2) << 2
 }
 
 /// `c.lwsp rd, uimm(sp)` (rd != 0, uimm word-aligned < 256).
@@ -320,7 +336,11 @@ pub fn c_addi16sp(imm: i32) -> u16 {
 pub fn c_addi4spn(rd: u32, uimm: u32) -> u16 {
     debug_assert!(uimm != 0 && uimm.is_multiple_of(4) && uimm < 1024);
     let u = uimm as u16;
-    (u >> 4 & 0x3) << 11 | (u >> 6 & 0xF) << 7 | (u >> 2 & 1) << 6 | (u >> 3 & 1) << 5 | creg(rd) << 2
+    (u >> 4 & 0x3) << 11
+        | (u >> 6 & 0xF) << 7
+        | (u >> 2 & 1) << 6
+        | (u >> 3 & 1) << 5
+        | creg(rd) << 2
 }
 
 /// `c.j byte_offset` (±2 KiB, even).
@@ -334,7 +354,10 @@ pub fn c_jal(off: i32) -> u16 {
 }
 
 fn cj_imm(off: i32) -> u16 {
-    debug_assert!(off % 2 == 0 && (-2048..=2046).contains(&off), "CJ-off {off}");
+    debug_assert!(
+        off % 2 == 0 && (-2048..=2046).contains(&off),
+        "CJ-off {off}"
+    );
     let u = off as u16;
     (u >> 11 & 1) << 12
         | (u >> 4 & 1) << 11

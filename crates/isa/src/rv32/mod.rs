@@ -27,25 +27,87 @@ use std::fmt;
 #[allow(missing_docs)] // variants are the ISA's own mnemonics
 pub enum RvInstr {
     // --- RV32I base (40) ---
-    Lui, Auipc, Jal, Jalr,
-    Beq, Bne, Blt, Bge, Bltu, Bgeu,
-    Lb, Lh, Lw, Lbu, Lhu,
-    Sb, Sh, Sw,
-    Addi, Slti, Sltiu, Xori, Ori, Andi,
-    Slli, Srli, Srai,
-    Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And,
-    Fence, Ecall, Ebreak,
+    Lui,
+    Auipc,
+    Jal,
+    Jalr,
+    Beq,
+    Bne,
+    Blt,
+    Bge,
+    Bltu,
+    Bgeu,
+    Lb,
+    Lh,
+    Lw,
+    Lbu,
+    Lhu,
+    Sb,
+    Sh,
+    Sw,
+    Addi,
+    Slti,
+    Sltiu,
+    Xori,
+    Ori,
+    Andi,
+    Slli,
+    Srli,
+    Srai,
+    Add,
+    Sub,
+    Sll,
+    Slt,
+    Sltu,
+    Xor,
+    Srl,
+    Sra,
+    Or,
+    And,
+    Fence,
+    Ecall,
+    Ebreak,
     // --- M extension (8) ---
-    Mul, Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu,
+    Mul,
+    Mulh,
+    Mulhsu,
+    Mulhu,
+    Div,
+    Divu,
+    Rem,
+    Remu,
     // --- C extension (23 forms) ---
-    CAddi4spn, CLw, CSw,
-    CAddi, CJal, CLi, CAddi16sp, CLui,
-    CSrli, CSrai, CAndi,
-    CSub, CXor, COr, CAnd,
-    CJ, CBeqz, CBnez,
-    CSlli, CLwsp, CSwsp, CMv, CAdd,
+    CAddi4spn,
+    CLw,
+    CSw,
+    CAddi,
+    CJal,
+    CLi,
+    CAddi16sp,
+    CLui,
+    CSrli,
+    CSrai,
+    CAndi,
+    CSub,
+    CXor,
+    COr,
+    CAnd,
+    CJ,
+    CBeqz,
+    CBnez,
+    CSlli,
+    CLwsp,
+    CSwsp,
+    CMv,
+    CAdd,
     // --- Zicsr + Zifencei ("z-extension", 7) ---
-    Csrrw, Csrrs, Csrrc, Csrrwi, Csrrsi, Csrrci, FenceI,
+    Csrrw,
+    Csrrs,
+    Csrrc,
+    Csrrwi,
+    Csrrsi,
+    Csrrci,
+    FenceI,
 }
 
 /// RISC-V extension grouping used throughout the paper's tables.
@@ -66,70 +128,176 @@ impl RvInstr {
     /// before overlapping generic ones).
     pub const ALL: [RvInstr; 78] = [
         // Specific full-word matches first.
-        RvInstr::Ecall, RvInstr::Ebreak,
+        RvInstr::Ecall,
+        RvInstr::Ebreak,
         // Fences (distinguished by funct3).
-        RvInstr::Fence, RvInstr::FenceI,
+        RvInstr::Fence,
+        RvInstr::FenceI,
         // CSR.
-        RvInstr::Csrrw, RvInstr::Csrrs, RvInstr::Csrrc,
-        RvInstr::Csrrwi, RvInstr::Csrrsi, RvInstr::Csrrci,
+        RvInstr::Csrrw,
+        RvInstr::Csrrs,
+        RvInstr::Csrrc,
+        RvInstr::Csrrwi,
+        RvInstr::Csrrsi,
+        RvInstr::Csrrci,
         // Upper-immediate / jumps.
-        RvInstr::Lui, RvInstr::Auipc, RvInstr::Jal, RvInstr::Jalr,
+        RvInstr::Lui,
+        RvInstr::Auipc,
+        RvInstr::Jal,
+        RvInstr::Jalr,
         // Branches.
-        RvInstr::Beq, RvInstr::Bne, RvInstr::Blt, RvInstr::Bge,
-        RvInstr::Bltu, RvInstr::Bgeu,
+        RvInstr::Beq,
+        RvInstr::Bne,
+        RvInstr::Blt,
+        RvInstr::Bge,
+        RvInstr::Bltu,
+        RvInstr::Bgeu,
         // Loads/stores.
-        RvInstr::Lb, RvInstr::Lh, RvInstr::Lw, RvInstr::Lbu, RvInstr::Lhu,
-        RvInstr::Sb, RvInstr::Sh, RvInstr::Sw,
+        RvInstr::Lb,
+        RvInstr::Lh,
+        RvInstr::Lw,
+        RvInstr::Lbu,
+        RvInstr::Lhu,
+        RvInstr::Sb,
+        RvInstr::Sh,
+        RvInstr::Sw,
         // OP-IMM (shifts carry funct7, so they precede nothing here, but
         // keep them before the plain immediates for clarity).
-        RvInstr::Slli, RvInstr::Srli, RvInstr::Srai,
-        RvInstr::Addi, RvInstr::Slti, RvInstr::Sltiu,
-        RvInstr::Xori, RvInstr::Ori, RvInstr::Andi,
+        RvInstr::Slli,
+        RvInstr::Srli,
+        RvInstr::Srai,
+        RvInstr::Addi,
+        RvInstr::Slti,
+        RvInstr::Sltiu,
+        RvInstr::Xori,
+        RvInstr::Ori,
+        RvInstr::Andi,
         // OP (R-type): M first (funct7 = 1), then base.
-        RvInstr::Mul, RvInstr::Mulh, RvInstr::Mulhsu, RvInstr::Mulhu,
-        RvInstr::Div, RvInstr::Divu, RvInstr::Rem, RvInstr::Remu,
-        RvInstr::Add, RvInstr::Sub, RvInstr::Sll, RvInstr::Slt,
-        RvInstr::Sltu, RvInstr::Xor, RvInstr::Srl, RvInstr::Sra,
-        RvInstr::Or, RvInstr::And,
+        RvInstr::Mul,
+        RvInstr::Mulh,
+        RvInstr::Mulhsu,
+        RvInstr::Mulhu,
+        RvInstr::Div,
+        RvInstr::Divu,
+        RvInstr::Rem,
+        RvInstr::Remu,
+        RvInstr::Add,
+        RvInstr::Sub,
+        RvInstr::Sll,
+        RvInstr::Slt,
+        RvInstr::Sltu,
+        RvInstr::Xor,
+        RvInstr::Srl,
+        RvInstr::Sra,
+        RvInstr::Or,
+        RvInstr::And,
         // Compressed: specific before generic.
-        RvInstr::CAddi16sp, RvInstr::CLui,
-        RvInstr::CSub, RvInstr::CXor, RvInstr::COr, RvInstr::CAnd,
-        RvInstr::CSrli, RvInstr::CSrai, RvInstr::CAndi,
-        RvInstr::CAddi4spn, RvInstr::CLw, RvInstr::CSw,
-        RvInstr::CAddi, RvInstr::CJal, RvInstr::CLi,
-        RvInstr::CJ, RvInstr::CBeqz, RvInstr::CBnez,
-        RvInstr::CSlli, RvInstr::CLwsp, RvInstr::CSwsp,
-        RvInstr::CMv, RvInstr::CAdd,
+        RvInstr::CAddi16sp,
+        RvInstr::CLui,
+        RvInstr::CSub,
+        RvInstr::CXor,
+        RvInstr::COr,
+        RvInstr::CAnd,
+        RvInstr::CSrli,
+        RvInstr::CSrai,
+        RvInstr::CAndi,
+        RvInstr::CAddi4spn,
+        RvInstr::CLw,
+        RvInstr::CSw,
+        RvInstr::CAddi,
+        RvInstr::CJal,
+        RvInstr::CLi,
+        RvInstr::CJ,
+        RvInstr::CBeqz,
+        RvInstr::CBnez,
+        RvInstr::CSlli,
+        RvInstr::CLwsp,
+        RvInstr::CSwsp,
+        RvInstr::CMv,
+        RvInstr::CAdd,
     ];
 
     /// Assembly mnemonic.
     pub fn mnemonic(self) -> &'static str {
         use RvInstr::*;
         match self {
-            Lui => "lui", Auipc => "auipc", Jal => "jal", Jalr => "jalr",
-            Beq => "beq", Bne => "bne", Blt => "blt", Bge => "bge",
-            Bltu => "bltu", Bgeu => "bgeu",
-            Lb => "lb", Lh => "lh", Lw => "lw", Lbu => "lbu", Lhu => "lhu",
-            Sb => "sb", Sh => "sh", Sw => "sw",
-            Addi => "addi", Slti => "slti", Sltiu => "sltiu",
-            Xori => "xori", Ori => "ori", Andi => "andi",
-            Slli => "slli", Srli => "srli", Srai => "srai",
-            Add => "add", Sub => "sub", Sll => "sll", Slt => "slt",
-            Sltu => "sltu", Xor => "xor", Srl => "srl", Sra => "sra",
-            Or => "or", And => "and",
-            Fence => "fence", Ecall => "ecall", Ebreak => "ebreak",
-            Mul => "mul", Mulh => "mulh", Mulhsu => "mulhsu", Mulhu => "mulhu",
-            Div => "div", Divu => "divu", Rem => "rem", Remu => "remu",
-            CAddi4spn => "c.addi4spn", CLw => "c.lw", CSw => "c.sw",
-            CAddi => "c.addi", CJal => "c.jal", CLi => "c.li",
-            CAddi16sp => "c.addi16sp", CLui => "c.lui",
-            CSrli => "c.srli", CSrai => "c.srai", CAndi => "c.andi",
-            CSub => "c.sub", CXor => "c.xor", COr => "c.or", CAnd => "c.and",
-            CJ => "c.j", CBeqz => "c.beqz", CBnez => "c.bnez",
-            CSlli => "c.slli", CLwsp => "c.lwsp", CSwsp => "c.swsp",
-            CMv => "c.mv", CAdd => "c.add",
-            Csrrw => "csrrw", Csrrs => "csrrs", Csrrc => "csrrc",
-            Csrrwi => "csrrwi", Csrrsi => "csrrsi", Csrrci => "csrrci",
+            Lui => "lui",
+            Auipc => "auipc",
+            Jal => "jal",
+            Jalr => "jalr",
+            Beq => "beq",
+            Bne => "bne",
+            Blt => "blt",
+            Bge => "bge",
+            Bltu => "bltu",
+            Bgeu => "bgeu",
+            Lb => "lb",
+            Lh => "lh",
+            Lw => "lw",
+            Lbu => "lbu",
+            Lhu => "lhu",
+            Sb => "sb",
+            Sh => "sh",
+            Sw => "sw",
+            Addi => "addi",
+            Slti => "slti",
+            Sltiu => "sltiu",
+            Xori => "xori",
+            Ori => "ori",
+            Andi => "andi",
+            Slli => "slli",
+            Srli => "srli",
+            Srai => "srai",
+            Add => "add",
+            Sub => "sub",
+            Sll => "sll",
+            Slt => "slt",
+            Sltu => "sltu",
+            Xor => "xor",
+            Srl => "srl",
+            Sra => "sra",
+            Or => "or",
+            And => "and",
+            Fence => "fence",
+            Ecall => "ecall",
+            Ebreak => "ebreak",
+            Mul => "mul",
+            Mulh => "mulh",
+            Mulhsu => "mulhsu",
+            Mulhu => "mulhu",
+            Div => "div",
+            Divu => "divu",
+            Rem => "rem",
+            Remu => "remu",
+            CAddi4spn => "c.addi4spn",
+            CLw => "c.lw",
+            CSw => "c.sw",
+            CAddi => "c.addi",
+            CJal => "c.jal",
+            CLi => "c.li",
+            CAddi16sp => "c.addi16sp",
+            CLui => "c.lui",
+            CSrli => "c.srli",
+            CSrai => "c.srai",
+            CAndi => "c.andi",
+            CSub => "c.sub",
+            CXor => "c.xor",
+            COr => "c.or",
+            CAnd => "c.and",
+            CJ => "c.j",
+            CBeqz => "c.beqz",
+            CBnez => "c.bnez",
+            CSlli => "c.slli",
+            CLwsp => "c.lwsp",
+            CSwsp => "c.swsp",
+            CMv => "c.mv",
+            CAdd => "c.add",
+            Csrrw => "csrrw",
+            Csrrs => "csrrs",
+            Csrrc => "csrrc",
+            Csrrwi => "csrrwi",
+            Csrrsi => "csrrsi",
+            Csrrci => "csrrci",
             FenceI => "fence.i",
         }
     }

@@ -84,8 +84,8 @@ impl RvSubset {
     pub fn reduced_addressing() -> RvSubset {
         use RvInstr::*;
         let r_type: BTreeSet<RvInstr> = [
-            Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Mul, Mulh, Mulhsu, Mulhu, Div,
-            Divu, Rem, Remu,
+            Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Mul, Mulh, Mulhsu, Mulhu, Div, Divu,
+            Rem, Remu,
         ]
         .into_iter()
         .collect();
@@ -181,12 +181,7 @@ impl RvSubset {
     /// Number of allowed forms, grouped by extension (Table I row shape).
     pub fn count_by_extension(&self) -> [(RvExtension, usize); 4] {
         use RvExtension::*;
-        [I, M, C, Zicsr].map(|e| {
-            (
-                e,
-                self.instrs.iter().filter(|i| i.extension() == e).count(),
-            )
-        })
+        [I, M, C, Zicsr].map(|e| (e, self.instrs.iter().filter(|i| i.extension() == e).count()))
     }
 }
 

@@ -2,8 +2,8 @@
 //! pattern disjointness within priority classes, and compressed-expansion
 //! consistency.
 
-use pdat_isa::rv32::{self, decode, decode_form, expand_compressed, RvInstr};
 use pdat_isa::armv6m::{thumb_decode_form, ThumbInstr};
+use pdat_isa::rv32::{self, decode, decode_form, expand_compressed, RvInstr};
 use proptest::prelude::*;
 
 proptest! {

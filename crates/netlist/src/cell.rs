@@ -190,9 +190,7 @@ impl CellKind {
                 !ins.iter().fold(u64::MAX, |a, &b| a & b)
             }
             CellKind::Or2 | CellKind::Or3 | CellKind::Or4 => ins.iter().fold(0, |a, &b| a | b),
-            CellKind::Nor2 | CellKind::Nor3 | CellKind::Nor4 => {
-                !ins.iter().fold(0, |a, &b| a | b)
-            }
+            CellKind::Nor2 | CellKind::Nor3 | CellKind::Nor4 => !ins.iter().fold(0, |a, &b| a | b),
             CellKind::Xor2 => ins[0] ^ ins[1],
             CellKind::Xnor2 => !(ins[0] ^ ins[1]),
             CellKind::Mux2 => (ins[1] & ins[2]) | (ins[0] & !ins[2]),
@@ -271,29 +269,29 @@ impl CellLibrary {
 pub static CELL_LIBRARY: CellLibrary = CellLibrary {
     name: "nangate45-like",
     areas: [
-        0.798,  // BUF
-        0.532,  // INV
-        1.064,  // AND2
-        1.330,  // AND3
-        1.596,  // AND4
-        0.798,  // NAND2
-        1.064,  // NAND3
-        1.330,  // NAND4
-        1.064,  // OR2
-        1.330,  // OR3
-        1.596,  // OR4
-        0.798,  // NOR2
-        1.064,  // NOR3
-        1.330,  // NOR4
-        1.596,  // XOR2
-        1.596,  // XNOR2
-        1.862,  // MUX2
-        1.064,  // AOI21
-        1.064,  // OAI21
-        1.596,  // MAJ3
-        4.522,  // DFF
-        0.266,  // TIE0
-        0.266,  // TIE1
+        0.798, // BUF
+        0.532, // INV
+        1.064, // AND2
+        1.330, // AND3
+        1.596, // AND4
+        0.798, // NAND2
+        1.064, // NAND3
+        1.330, // NAND4
+        1.064, // OR2
+        1.330, // OR3
+        1.596, // OR4
+        0.798, // NOR2
+        1.064, // NOR3
+        1.330, // NOR4
+        1.596, // XOR2
+        1.596, // XNOR2
+        1.862, // MUX2
+        1.064, // AOI21
+        1.064, // OAI21
+        1.596, // MAJ3
+        4.522, // DFF
+        0.266, // TIE0
+        0.266, // TIE1
     ],
 };
 

@@ -37,7 +37,11 @@ pub struct ParseNetlistError {
 
 impl fmt::Display for ParseNetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}, col {}: {}", self.line, self.column, self.message)
+        write!(
+            f,
+            "line {}, col {}: {}",
+            self.line, self.column, self.message
+        )
     }
 }
 
@@ -171,9 +175,7 @@ pub fn write_netlist(nl: &Netlist) -> String {
     }
     for (net, info) in nl.nets() {
         match nl.driver(net) {
-            Driver::Const(v) => {
-                out.push_str(&format!("assign {} = {}\n", info.name, u8::from(v)))
-            }
+            Driver::Const(v) => out.push_str(&format!("assign {} = {}\n", info.name, u8::from(v))),
             Driver::Alias(src) => {
                 out.push_str(&format!("assign {} = n:{}\n", info.name, nl.net(src).name))
             }
@@ -258,11 +260,7 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                             init = match v {
                                 "0" => false,
                                 "1" => true,
-                                _ => {
-                                    return Err(
-                                        cur.error_at(iat, format!("bad init value `{v}`"))
-                                    )
-                                }
+                                _ => return Err(cur.error_at(iat, format!("bad init value `{v}`"))),
                             };
                         } else {
                             cur.pos = save;
@@ -287,9 +285,9 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                 }
                 cur.expect_punct("->")?;
                 let (oat, out_name) = cur.require("output net")?;
-                let out = *by_name.get(out_name).ok_or_else(|| {
-                    cur.error_at(oat, format!("unknown output net `{out_name}`"))
-                })?;
+                let out = *by_name
+                    .get(out_name)
+                    .ok_or_else(|| cur.error_at(oat, format!("unknown output net `{out_name}`")))?;
                 cur.expect_end()?;
                 nl.try_connect_cell(kind, &ins, out, init)
                     .map_err(|e| cur.error_at(oat, e.to_string()))?;

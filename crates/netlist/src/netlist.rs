@@ -214,7 +214,12 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `inputs.len()` doesn't match `kind.num_inputs()`.
-    pub fn add_cell(&mut self, kind: CellKind, inputs: &[NetId], out_name: impl AsRef<str>) -> NetId {
+    pub fn add_cell(
+        &mut self,
+        kind: CellKind,
+        inputs: &[NetId],
+        out_name: impl AsRef<str>,
+    ) -> NetId {
         assert!(!kind.is_sequential(), "use add_dff for DFFs");
         self.add_cell_impl(kind, inputs, out_name, false)
     }
@@ -406,7 +411,6 @@ impl Netlist {
     pub fn dffs(&self) -> impl Iterator<Item = (CellId, &Cell)> {
         self.cells().filter(|(_, c)| c.kind.is_sequential())
     }
-
 }
 
 #[cfg(test)]

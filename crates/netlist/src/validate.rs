@@ -213,6 +213,9 @@ mod tests {
         nl.assign_alias(a, b);
         nl.assign_alias(b, a);
         nl.add_output("a", a);
-        assert!(matches!(nl.validate(), Err(ValidateError::AliasCycle { .. })));
+        assert!(matches!(
+            nl.validate(),
+            Err(ValidateError::AliasCycle { .. })
+        ));
     }
 }

@@ -35,14 +35,7 @@ mod tests {
     use pdat_netlist::Simulator;
 
     /// Drive a netlist's inputs from a word-value map and read an output.
-    fn eval2(
-        b: RtlBuilder,
-        a_val: u64,
-        b_val: u64,
-        a_w: &Word,
-        b_w: &Word,
-        out: &Word,
-    ) -> u64 {
+    fn eval2(b: RtlBuilder, a_val: u64, b_val: u64, a_w: &Word, b_w: &Word, out: &Word) -> u64 {
         let nl = b.finish();
         nl.validate().unwrap();
         let mut sim = Simulator::new(&nl);

@@ -1,8 +1,8 @@
 //! Property-based tests: the RTL builder's arithmetic elaborations agree
 //! with Rust's own integer semantics across random operands and widths.
 
-use pdat_rtl::{RtlBuilder, Word};
 use pdat_netlist::Simulator;
+use pdat_rtl::{RtlBuilder, Word};
 use proptest::prelude::*;
 
 fn eval(nl: &pdat_netlist::Netlist, drive: &[(&Word, u64)], out: &Word) -> u64 {

@@ -349,10 +349,7 @@ impl Solver {
             if st.stats.aborted {
                 break;
             }
-            if st.frozen[vi]
-                || self.eliminated[vi]
-                || self.assigns[vi] != LBOOL_UNDEF
-            {
+            if st.frozen[vi] || self.eliminated[vi] || self.assigns[vi] != LBOOL_UNDEF {
                 continue;
             }
             let v = Var::from_index(vi);
@@ -472,9 +469,10 @@ impl Solver {
             if c.deleted || !c.learnt {
                 continue;
             }
-            let stale = c.lits.iter().any(|l| {
-                eliminated[l.var().index()] || assigns[l.var().index()] != LBOOL_UNDEF
-            });
+            let stale = c
+                .lits
+                .iter()
+                .any(|l| eliminated[l.var().index()] || assigns[l.var().index()] != LBOOL_UNDEF);
             if stale {
                 c.deleted = true;
                 removed += 1;

@@ -166,7 +166,7 @@ pub struct Solver {
     /// encodings of AIGs are two-thirds binary clauses, which makes this
     /// the solver's hottest list.
     bin_watches: Vec<Vec<Watcher>>, // indexed by lit code (length-2 clauses)
-    assigns: Vec<u8>,             // lbool per var
+    assigns: Vec<u8>,           // lbool per var
     level: Vec<u32>,
     reason: Vec<Option<ClauseRef>>,
     trail: Vec<Lit>,
@@ -298,7 +298,10 @@ impl Solver {
 
     /// Number of problem (non-learnt) clauses added.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.learnt && !c.deleted).count()
+        self.clauses
+            .iter()
+            .filter(|c| !c.learnt && !c.deleted)
+            .count()
     }
 
     /// Variables removed by [`Solver::preprocess`]'s bounded variable
@@ -713,7 +716,9 @@ impl Solver {
             let redundant = match r {
                 None => false,
                 Some(cr) => self.clauses[cr as usize].lits.iter().all(|&q| {
-                    q.var() == l.var() || self.seen[q.var().index()] || self.level[q.var().index()] == 0
+                    q.var() == l.var()
+                        || self.seen[q.var().index()]
+                        || self.level[q.var().index()] == 0
                 }),
             };
             if !redundant {
@@ -813,9 +818,11 @@ impl Solver {
         cands.sort_by(|&a, &b| {
             let ca = &self.clauses[a as usize];
             let cb = &self.clauses[b as usize];
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.partial_cmp(&cb.activity).unwrap_or(std::cmp::Ordering::Equal))
+            cb.lbd.cmp(&ca.lbd).then(
+                ca.activity
+                    .partial_cmp(&cb.activity)
+                    .unwrap_or(std::cmp::Ordering::Equal),
+            )
         });
         for &cr in cands.iter().take(cands.len() / 2) {
             self.clauses[cr as usize].deleted = true;
@@ -869,7 +876,10 @@ impl Solver {
         // A zero budget or an already-exhausted governor means no work is
         // authorized: report Unknown before touching the search state.
         if self.conflict_budget == Some(0)
-            || self.governor.as_ref().is_some_and(|g| g.solver_should_stop())
+            || self
+                .governor
+                .as_ref()
+                .is_some_and(|g| g.solver_should_stop())
         {
             return SolveResult::Unknown;
         }
@@ -950,7 +960,11 @@ impl Solver {
                     self.pending_conflicts += 1;
                     if self.pending_conflicts >= self.charge_batch {
                         self.flush_governor_charges();
-                        if self.governor.as_ref().is_some_and(|g| g.solver_should_stop()) {
+                        if self
+                            .governor
+                            .as_ref()
+                            .is_some_and(|g| g.solver_should_stop())
+                        {
                             return SearchOutcome::BudgetExhausted;
                         }
                         self.recompute_charge_batch();
@@ -1258,7 +1272,10 @@ mod tests {
         assert_eq!(s.value(x), Some(true));
         // Retiring the activation variable must not contradict anything:
         // act was an assumption, not a fact.
-        assert!(s.add_clause(&[Lit::neg(act)]), "solver poisoned by model residue");
+        assert!(
+            s.add_clause(&[Lit::neg(act)]),
+            "solver poisoned by model residue"
+        );
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.solve_with(&[Lit::neg(x)]), SolveResult::Sat);
     }

@@ -15,9 +15,7 @@ fn clauses_strategy(nvars: usize) -> impl Strategy<Value = Vec<Vec<(usize, bool)
 fn brute_force(nvars: usize, clauses: &[Vec<(usize, bool)>]) -> Option<u64> {
     'outer: for bits in 0u64..(1 << nvars) {
         for c in clauses {
-            let sat = c
-                .iter()
-                .any(|&(v, pos)| (bits >> v & 1 == 1) == pos);
+            let sat = c.iter().any(|&(v, pos)| (bits >> v & 1 == 1) == pos);
             if !sat {
                 continue 'outer;
             }

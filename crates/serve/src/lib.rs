@@ -43,7 +43,5 @@ mod queue;
 mod request;
 mod service;
 
-pub use request::{
-    OverloadReason, OwnedEnvironment, Reply, ServeRequest, SubmitError, Ticket,
-};
+pub use request::{OverloadReason, OwnedEnvironment, Reply, ServeRequest, SubmitError, Ticket};
 pub use service::{PdatService, ServeConfig, ServiceStats};

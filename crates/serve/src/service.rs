@@ -34,9 +34,7 @@
 //! pipeline.
 
 use crate::queue::{BoundedQueue, TryPush};
-use crate::request::{
-    OverloadReason, Reply, ServeRequest, SubmitError, Ticket,
-};
+use crate::request::{OverloadReason, Reply, ServeRequest, SubmitError, Ticket};
 use pdat::{run_pdat_batch, BatchRequest, PdatConfig, PdatError, PreparedNetlist, ProofCache};
 use pdat_cache::{load_cache_or_quarantine, save_cache_with_faults, LoadOutcome};
 use pdat_governor::{Cause, FaultPlan, Governor, GovernorConfig};
@@ -236,7 +234,9 @@ impl PdatService {
         if let Some(path) = &cfg.cache_path {
             match load_cache_or_quarantine(&cache, path) {
                 Ok(LoadOutcome::Loaded(n)) => {
-                    counters.cache_entries_loaded.store(n as u64, Ordering::Relaxed);
+                    counters
+                        .cache_entries_loaded
+                        .store(n as u64, Ordering::Relaxed);
                 }
                 Ok(LoadOutcome::ColdStart) => {}
                 Ok(LoadOutcome::Quarantined { .. }) => {
@@ -296,9 +296,15 @@ impl PdatService {
     /// [`SubmitError::Overloaded`] when saturated (resubmit after
     /// backoff), [`SubmitError::ShuttingDown`] once shutdown began.
     pub fn submit(&self, req: ServeRequest) -> Result<Ticket, SubmitError> {
-        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .counters
+            .submitted
+            .fetch_add(1, Ordering::Relaxed);
         if self.shared.service_governor.exhausted().is_some() {
-            self.shared.counters.rejected_budget.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .counters
+                .rejected_budget
+                .fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Overloaded {
                 reason: OverloadReason::BudgetExhausted,
                 queue_len: self.shared.queue.len(),
@@ -319,11 +325,17 @@ impl PdatService {
             TryPush::Ok => {
                 let id = *next;
                 *next += 1;
-                self.shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .counters
+                    .admitted
+                    .fetch_add(1, Ordering::Relaxed);
                 Ok(Ticket { id, rx })
             }
             TryPush::Full(_) => {
-                self.shared.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .counters
+                    .rejected_queue_full
+                    .fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::Overloaded {
                     reason: OverloadReason::QueueFull,
                     queue_len: self.shared.queue.len(),
@@ -499,8 +511,14 @@ fn run_attempt(shared: &Shared, job: &Job) -> AttemptOutcome {
         env: job.req.env.as_env(),
         extras: job.req.extras.clone(),
     }];
-    let outcome =
-        run_pdat_batch(&shared.netlist, &request, &cfg.pdat, &governor, &shared.cache).pop();
+    let outcome = run_pdat_batch(
+        &shared.netlist,
+        &request,
+        &cfg.pdat,
+        &governor,
+        &shared.cache,
+    )
+    .pop();
     shared
         .service_governor
         .charge_conflicts(governor.conflicts_used());
@@ -518,11 +536,9 @@ fn run_attempt(shared: &Shared, job: &Job) -> AttemptOutcome {
                 // Exact hits (`result` is `None`) answered nothing new
                 // and cannot have degraded; they are always clean.
                 None => AttemptOutcome::Reply(Box::new(Reply::Done(report))),
-                Some(cause) => AttemptOutcome::Retry(if faulted {
-                    Cause::FaultInjected
-                } else {
-                    cause
-                }),
+                Some(cause) => {
+                    AttemptOutcome::Retry(if faulted { Cause::FaultInjected } else { cause })
+                }
             }
         }
     }
@@ -571,9 +587,11 @@ fn worker_loop(shared: &Shared) -> bool {
                 // The attempt panicked (injected or organic). The job is
                 // still ours: classify, re-queue, and die so the
                 // supervisor replaces this worker with a fresh thread.
-                shared.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                let cause = if job.attempt == 0
-                    && shared.cfg.fault_plan.fires_worker_panic(job.id)
+                shared
+                    .counters
+                    .worker_panics
+                    .fetch_add(1, Ordering::Relaxed);
+                let cause = if job.attempt == 0 && shared.cfg.fault_plan.fires_worker_panic(job.id)
                 {
                     Cause::FaultInjected
                 } else {
@@ -659,7 +677,10 @@ fn do_checkpoint(shared: &Shared, path: &Path) {
         None
     };
     match save_cache_with_faults(&shared.cache, path, fault) {
-        Ok(()) => shared.counters.checkpoints_ok.fetch_add(1, Ordering::Relaxed),
+        Ok(()) => shared
+            .counters
+            .checkpoints_ok
+            .fetch_add(1, Ordering::Relaxed),
         Err(_) => shared
             .counters
             .checkpoints_failed
@@ -756,7 +777,11 @@ mod tests {
         for t in tickets {
             assert!(t.wait().is_done());
         }
-        assert_eq!(service.cache().len(), 1, "identical requests share one entry");
+        assert_eq!(
+            service.cache().len(),
+            1,
+            "identical requests share one entry"
+        );
         let stats = service.shutdown();
         assert_eq!(stats.replies_done, 3);
         assert_eq!(stats.admitted, 3);

@@ -172,11 +172,7 @@ fn one_pass(nl: &Netlist) -> (Netlist, bool) {
         if nl.driver(c.output) != Driver::Cell(cid) {
             continue; // rewired: handled through driver resolution
         }
-        let ins: Vec<Sig> = c
-            .inputs
-            .iter()
-            .map(|&n| resolve(nl, n, &sig))
-            .collect();
+        let ins: Vec<Sig> = c.inputs.iter().map(|&n| resolve(nl, n, &sig)).collect();
         let simplified = simplify_cell(c.kind, &ins);
         let result = match simplified {
             Simplified::Const(v) => {
@@ -200,10 +196,8 @@ fn one_pass(nl: &Netlist) -> (Netlist, bool) {
                     changed = true;
                     existing
                 } else {
-                    let nets: Vec<NetId> = new_ins
-                        .iter()
-                        .map(|s| materialize(&mut out, *s))
-                        .collect();
+                    let nets: Vec<NetId> =
+                        new_ins.iter().map(|s| materialize(&mut out, *s)).collect();
                     let o = out.add_cell(kind, &nets, &nl.net(c.output).name);
                     let s = Sig::Net(o);
                     strash.insert(key, s);
@@ -311,8 +305,20 @@ fn strash_key(kind: CellKind, ins: &[Sig]) -> (CellKind, Vec<Sig>) {
     use CellKind::*;
     if matches!(
         kind,
-        And2 | And3 | And4 | Nand2 | Nand3 | Nand4 | Or2 | Or3 | Or4 | Nor2 | Nor3 | Nor4
-            | Xor2 | Xnor2 | Maj3
+        And2 | And3
+            | And4
+            | Nand2
+            | Nand3
+            | Nand4
+            | Or2
+            | Or3
+            | Or4
+            | Nor2
+            | Nor3
+            | Nor4
+            | Xor2
+            | Xnor2
+            | Maj3
     ) {
         v.sort_by_key(|s| match s {
             Sig::Const(b) => (0usize, *b as u32),
@@ -427,9 +433,7 @@ fn simplify_cell(kind: CellKind, ins: &[Sig]) -> Simplified {
                         match (t, e) {
                             // MUX(s, 1, 0) = s ; MUX(s, 0, 1) = !s
                             (Sig::Const(true), Sig::Const(false)) => Simplified::Wire(s),
-                            (Sig::Const(false), Sig::Const(true)) => {
-                                Simplified::Cell(Inv, vec![s])
-                            }
+                            (Sig::Const(false), Sig::Const(true)) => Simplified::Cell(Inv, vec![s]),
                             // MUX(s, t, 0) = s & t ; MUX(s, t, 1) = !s | t
                             (t, Sig::Const(false)) => Simplified::Cell(And2, vec![s, t]),
                             (Sig::Const(false), e) => {
@@ -460,9 +464,7 @@ fn simplify_cell(kind: CellKind, ins: &[Sig]) -> Simplified {
                     (Some(false), _, Some(false)) | (_, Some(false), Some(false)) => {
                         Simplified::Const(true)
                     }
-                    (Some(true), _, None) if consts[1] == Some(true) => {
-                        Simplified::Const(false)
-                    }
+                    (Some(true), _, None) if consts[1] == Some(true) => Simplified::Const(false),
                     (_, _, Some(false)) => {
                         // !(a & b) = NAND2
                         Simplified::Cell(Nand2, vec![ins[0], ins[1]])
@@ -769,7 +771,10 @@ mod tests {
         let y = nl.add_cell(CellKind::Or2, &[a, q], "y");
         nl.add_output("y", y);
         let (opt, _) = resynthesize(&nl);
-        assert!(opt.dffs().count() == 1, "sequential invariant is PDAT's job");
+        assert!(
+            opt.dffs().count() == 1,
+            "sequential invariant is PDAT's job"
+        );
 
         // Now apply the PDAT rewiring and resynthesize: everything folds.
         nl.assign_const(q, false);

@@ -14,14 +14,38 @@ fn build_netlist(recipe: &[(u8, u8, u8, u8, bool)], n_inputs: usize) -> Netlist 
         let pick = |x: u8| nets[x as usize % nets.len()];
         let o = match kind_sel % 12 {
             0 => nl.add_cell(CellKind::And2, &[pick(*a), pick(*b)], format!("n{k}")),
-            1 => nl.add_cell(CellKind::Or3, &[pick(*a), pick(*b), pick(*c)], format!("n{k}")),
+            1 => nl.add_cell(
+                CellKind::Or3,
+                &[pick(*a), pick(*b), pick(*c)],
+                format!("n{k}"),
+            ),
             2 => nl.add_cell(CellKind::Xor2, &[pick(*a), pick(*b)], format!("n{k}")),
             3 => nl.add_cell(CellKind::Inv, &[pick(*a)], format!("n{k}")),
-            4 => nl.add_cell(CellKind::Mux2, &[pick(*a), pick(*b), pick(*c)], format!("n{k}")),
-            5 => nl.add_cell(CellKind::Maj3, &[pick(*a), pick(*b), pick(*c)], format!("n{k}")),
-            6 => nl.add_cell(CellKind::Nand4, &[pick(*a), pick(*b), pick(*c), pick(*a)], format!("n{k}")),
-            7 => nl.add_cell(CellKind::Aoi21, &[pick(*a), pick(*b), pick(*c)], format!("n{k}")),
-            8 => nl.add_cell(CellKind::Oai21, &[pick(*a), pick(*b), pick(*c)], format!("n{k}")),
+            4 => nl.add_cell(
+                CellKind::Mux2,
+                &[pick(*a), pick(*b), pick(*c)],
+                format!("n{k}"),
+            ),
+            5 => nl.add_cell(
+                CellKind::Maj3,
+                &[pick(*a), pick(*b), pick(*c)],
+                format!("n{k}"),
+            ),
+            6 => nl.add_cell(
+                CellKind::Nand4,
+                &[pick(*a), pick(*b), pick(*c), pick(*a)],
+                format!("n{k}"),
+            ),
+            7 => nl.add_cell(
+                CellKind::Aoi21,
+                &[pick(*a), pick(*b), pick(*c)],
+                format!("n{k}"),
+            ),
+            8 => nl.add_cell(
+                CellKind::Oai21,
+                &[pick(*a), pick(*b), pick(*c)],
+                format!("n{k}"),
+            ),
             9 => nl.add_cell(CellKind::Xnor2, &[pick(*a), pick(*b)], format!("n{k}")),
             10 => nl.add_cell(CellKind::Buf, &[pick(*a)], format!("n{k}")),
             _ => nl.add_dff(pick(*a), *init, format!("n{k}")),

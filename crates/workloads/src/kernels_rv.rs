@@ -233,7 +233,7 @@ pub fn patricia() -> RvKernel {
     a.emit(e::andi(15, 15, 31));
     a.emit(e::srl(15, 11, 15));
     a.emit(e::or(14, 14, 15)); // key
-    // check against each prefix.
+                               // check against each prefix.
     a.emit(e::addi(16, 0, 0)); // p
     a.emit(e::addi(17, 0, 4));
     let pfx_done = a.new_label();
@@ -243,7 +243,7 @@ pub fn patricia() -> RvKernel {
     a.emit(e::add(18, 5, 18));
     a.emit(e::lw(19, 18, 0)); // prefix value
     a.emit(e::lw(20, 18, 4)); // prefix len
-    // mask = ~(0xFFFFFFFF >> len)  (len in 1..=31)
+                              // mask = ~(0xFFFFFFFF >> len)  (len in 1..=31)
     a.emit(e::addi(21, 0, -1));
     a.emit(e::srl(21, 21, 20));
     a.emit(e::xori(21, 21, -1));
@@ -555,7 +555,7 @@ pub fn susan() -> RvKernel {
     let below = a.new_label();
     a.blt(13, 14, below);
     a.emit(e::addi(15, 6, -32)); // dist to center
-    // abs
+                                 // abs
     a.emit(e::srai(16, 15, 31));
     a.emit(e::xor(15, 15, 16));
     a.emit(e::sub(15, 15, 16));
@@ -638,7 +638,7 @@ pub fn rijndael() -> RvKernel {
     a.emit(e::lbu(13, 30, 0));
     a.emit(e::add(14, 5, 13));
     a.emit(e::lbu(15, 14, 0)); // sbox[s[i]]
-    // xor with the next byte (wrap via andi 15).
+                               // xor with the next byte (wrap via andi 15).
     a.emit(e::addi(16, 6, 1));
     a.emit(e::andi(16, 16, 15));
     a.emit(e::add(17, 8, 16));

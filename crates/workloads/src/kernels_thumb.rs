@@ -29,7 +29,7 @@ pub fn t_crc() -> ThumbKernel {
     a.emit(t_mov_imm(2, 16)); // len
     a.emit(t_mov_imm(4, 1));
     a.emit(t_lsl_imm(4, 4, 9)); // buffer base 512
-    // fill: mem[512+i] = i * 29 via muls (networking uses multiply on M0).
+                                // fill: mem[512+i] = i * 29 via muls (networking uses multiply on M0).
     let fill_top = a.here();
     a.emit(t_mov_imm(3, 29));
     a.emit(t_mov_reg(5, 1));
@@ -112,7 +112,7 @@ pub fn t_subst() -> ThumbKernel {
     a.emit(t_lsl_imm(4, 4, 8)); // 512: sbox
     a.emit(t_mov_imm(5, 3));
     a.emit(t_lsl_imm(5, 5, 8)); // 768: data
-    // build sbox[i] = (i*7 + 3) & 0xFF without muls: i*7 = (i<<3)-i.
+                                // build sbox[i] = (i*7 + 3) & 0xFF without muls: i*7 = (i<<3)-i.
     a.emit(t_mov_imm(0, 0));
     let top = a.here();
     a.emit(t_lsl_imm(1, 0, 3));
@@ -197,7 +197,7 @@ pub fn t_sort() -> ThumbKernel {
     a.emit(0x46BD); // mov sp, r7
     a.emit(t_mov_imm(4, 2));
     a.emit(t_lsl_imm(4, 4, 8)); // 512: array
-    // fill descending: a[i] = 32 - i (sorted output ascending).
+                                // fill descending: a[i] = 32 - i (sorted output ascending).
     a.emit(t_mov_imm(0, 0));
     let fill_top = a.here();
     a.emit(t_mov_imm(1, 32));
@@ -259,7 +259,7 @@ pub fn t_susan() -> ThumbKernel {
     let mut a = ThumbAssembler::new();
     a.emit(t_mov_imm(4, 2));
     a.emit(t_lsl_imm(4, 4, 8)); // image at 512
-    // fill 32 bytes: (i*11) & 0xFF via muls.
+                                // fill 32 bytes: (i*11) & 0xFF via muls.
     a.emit(t_mov_imm(0, 0));
     let f_top = a.here();
     a.emit(t_mov_imm(1, 11));
@@ -319,7 +319,7 @@ pub fn t_dijkstra() -> ThumbKernel {
     let mut a = ThumbAssembler::new();
     a.emit(t_mov_imm(4, 2));
     a.emit(t_lsl_imm(4, 4, 8)); // dist[] at 512 (8 words)
-    // init: dist[0] = 0, dist[i] = 200 + i*3 (via adds).
+                                // init: dist[0] = 0, dist[i] = 200 + i*3 (via adds).
     a.emit(t_mov_imm(0, 0));
     a.emit(t_mov_imm(1, 200));
     let init_top = a.here();
@@ -332,7 +332,7 @@ pub fn t_dijkstra() -> ThumbKernel {
     a.emit(t_b_cond(Cond::Ne, off as i32));
     a.emit(t_mov_imm(1, 0));
     a.emit(t_str_imm(1, 4, 0)); // dist[0] = 0
-    // 8 relaxation sweeps: dist[i] = min(dist[i], dist[i-1] + 5).
+                                // 8 relaxation sweeps: dist[i] = min(dist[i], dist[i-1] + 5).
     a.emit(t_mov_imm(5, 8)); // sweeps
     let sweep_top = a.here();
     a.emit(t_mov_imm(0, 1));

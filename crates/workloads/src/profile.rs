@@ -151,10 +151,7 @@ fn make_row(label: &str, used: &BTreeSet<RvInstr>) -> Table1Row {
     let counts = [I, M, C, Zicsr]
         .into_iter()
         .map(|ext| {
-            let supported = RvInstr::ALL
-                .iter()
-                .filter(|i| i.extension() == ext)
-                .count();
+            let supported = RvInstr::ALL.iter().filter(|i| i.extension() == ext).count();
             let u = used.iter().filter(|i| i.extension() == ext).count();
             (ext, u, supported)
         })
@@ -182,10 +179,7 @@ pub fn table1_thumb() -> Vec<(String, usize, usize)> {
 
 /// The MiBench-derived RV32 ISA subset for a group (Fig. 5, middle panel).
 pub fn mibench_rv_subset(group: BenchGroup) -> RvSubset {
-    RvSubset::new(
-        format!("MiBench {}", group.name()),
-        rv_group_usage(group),
-    )
+    RvSubset::new(format!("MiBench {}", group.name()), rv_group_usage(group))
 }
 
 /// The union subset over all groups ("MiBench All").
@@ -199,7 +193,10 @@ pub fn mibench_rv_all() -> RvSubset {
 
 /// The MiBench-derived Thumb subset for a group (Fig. 6).
 pub fn mibench_thumb_subset(group: BenchGroup) -> ThumbSubset {
-    ThumbSubset::new(format!("MiBench {}", group.name()), thumb_group_usage(group))
+    ThumbSubset::new(
+        format!("MiBench {}", group.name()),
+        thumb_group_usage(group),
+    )
 }
 
 /// The union Thumb subset over all groups.

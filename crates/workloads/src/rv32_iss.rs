@@ -307,7 +307,7 @@ mod tests {
         a.emit(e::addi(2, 0, 10)); // n
         a.emit(e::addi(3, 0, 0)); // i
         a.emit(e::addi(4, 0, 0)); // sum
-        // fill: mem[ptr+i] = i
+                                  // fill: mem[ptr+i] = i
         let fill_done = a.new_label();
         let fill_top = a.here();
         a.bge(3, 2, fill_done);

@@ -173,9 +173,7 @@ impl ThumbIss {
                 self.nz(r);
             }
             AddsReg => self.regs[rd] = self.add_with_flags(self.regs[rn], self.regs[rm], 0),
-            SubsReg => {
-                self.regs[rd] = self.add_with_flags(self.regs[rn], !self.regs[rm], 1)
-            }
+            SubsReg => self.regs[rd] = self.add_with_flags(self.regs[rn], !self.regs[rm], 1),
             AddsImm3 => self.regs[rd] = self.add_with_flags(self.regs[rn], imm3, 0),
             SubsImm3 => self.regs[rd] = self.add_with_flags(self.regs[rn], !imm3, 1),
             AddsImm8 => self.regs[rdn8] = self.add_with_flags(self.regs[rdn8], imm8, 0),
@@ -198,14 +196,8 @@ impl ThumbIss {
             AddSpImmT2 => self.regs[13] = self.regs[13].wrapping_add((h & 0x7F) << 2),
             SubSpImm => self.regs[13] = self.regs[13].wrapping_sub((h & 0x7F) << 2),
             Adr => self.regs[rdn8] = (pc4 & !3).wrapping_add(imm8 << 2),
-            Adcs => {
-                self.regs[rd] =
-                    self.add_with_flags(self.regs[rd], self.regs[rn], c as u32)
-            }
-            Sbcs => {
-                self.regs[rd] =
-                    self.add_with_flags(self.regs[rd], !self.regs[rn], c as u32)
-            }
+            Adcs => self.regs[rd] = self.add_with_flags(self.regs[rd], self.regs[rn], c as u32),
+            Sbcs => self.regs[rd] = self.add_with_flags(self.regs[rd], !self.regs[rn], c as u32),
             Rsbs => self.regs[rd] = self.add_with_flags(0, !self.regs[rn], 1),
             Ands => {
                 let r = self.regs[rd] & self.regs[rn];
@@ -281,9 +273,7 @@ impl ThumbIss {
                     (LsrsReg, s) if s < 32 => (val >> s, val >> (s - 1) & 1 == 1),
                     (LsrsReg, 32) => (0, val >> 31 & 1 == 1),
                     (LsrsReg, _) => (0, false),
-                    (AsrsReg, s) if s < 32 => {
-                        (((val as i32) >> s) as u32, val >> (s - 1) & 1 == 1)
-                    }
+                    (AsrsReg, s) if s < 32 => (((val as i32) >> s) as u32, val >> (s - 1) & 1 == 1),
                     (AsrsReg, _) => {
                         let sign = ((val as i32) >> 31) as u32;
                         (sign, sign & 1 == 1)
@@ -319,30 +309,12 @@ impl ThumbIss {
             StrbImm => self.store(self.regs[rn] + imm5, self.regs[rd], 1),
             LdrhImm => self.regs[rd] = self.load(self.regs[rn] + (imm5 << 1), 2),
             StrhImm => self.store(self.regs[rn] + (imm5 << 1), self.regs[rd], 2),
-            LdrReg => {
-                self.regs[rd] = self.load(self.regs[rn].wrapping_add(self.regs[rm]), 4)
-            }
-            StrReg => self.store(
-                self.regs[rn].wrapping_add(self.regs[rm]),
-                self.regs[rd],
-                4,
-            ),
-            LdrbReg => {
-                self.regs[rd] = self.load(self.regs[rn].wrapping_add(self.regs[rm]), 1)
-            }
-            StrbReg => self.store(
-                self.regs[rn].wrapping_add(self.regs[rm]),
-                self.regs[rd],
-                1,
-            ),
-            LdrhReg => {
-                self.regs[rd] = self.load(self.regs[rn].wrapping_add(self.regs[rm]), 2)
-            }
-            StrhReg => self.store(
-                self.regs[rn].wrapping_add(self.regs[rm]),
-                self.regs[rd],
-                2,
-            ),
+            LdrReg => self.regs[rd] = self.load(self.regs[rn].wrapping_add(self.regs[rm]), 4),
+            StrReg => self.store(self.regs[rn].wrapping_add(self.regs[rm]), self.regs[rd], 4),
+            LdrbReg => self.regs[rd] = self.load(self.regs[rn].wrapping_add(self.regs[rm]), 1),
+            StrbReg => self.store(self.regs[rn].wrapping_add(self.regs[rm]), self.regs[rd], 1),
+            LdrhReg => self.regs[rd] = self.load(self.regs[rn].wrapping_add(self.regs[rm]), 2),
+            StrhReg => self.store(self.regs[rn].wrapping_add(self.regs[rm]), self.regs[rd], 2),
             LdrsbReg => {
                 let x = self.load(self.regs[rn].wrapping_add(self.regs[rm]), 1);
                 self.regs[rd] = x as u8 as i8 as i32 as u32;

@@ -46,7 +46,8 @@ fn main() {
                 mode: ConstraintMode::CutpointBased,
             },
             &PdatConfig::default(),
-        ).expect("pdat run");
+        )
+        .expect("pdat run");
         println!(
             "{:<18} {:>6} {:>8} {:>10.0} {:>7.1}%",
             subset.name,

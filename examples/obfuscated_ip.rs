@@ -41,7 +41,8 @@ fn main() {
             mode: ConstraintMode::PortBased,
         },
         &PdatConfig::default(),
-    ).expect("pdat run");
+    )
+    .expect("pdat run");
     println!(
         "PDAT @ full ARMv6-M: gates {} -> {} ({:.1}%), area {:.0} -> {:.0} ({:.1}%)",
         res_full.baseline.gate_count,
@@ -63,7 +64,8 @@ fn main() {
             mode: ConstraintMode::PortBased,
         },
         &PdatConfig::default(),
-    ).expect("pdat run");
+    )
+    .expect("pdat run");
     println!(
         "PDAT @ {}: gates {} -> {} ({:.1}%), area {:.1}%",
         interesting.name,

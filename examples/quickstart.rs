@@ -30,7 +30,8 @@ fn main() {
             mode: ConstraintMode::CutpointBased, // paper Fig. 4
         },
         &PdatConfig::default(),
-    ).expect("pdat run");
+    )
+    .expect("pdat run");
     println!(
         "PDAT: {} candidates, {} proved; gates {} -> {} ({:.1}% reduction), area {:.0} -> {:.0} um^2",
         result.candidates,

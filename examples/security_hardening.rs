@@ -34,7 +34,8 @@ fn main() {
             mode: ConstraintMode::CutpointBased,
         },
         &PdatConfig::default(),
-    ).expect("pdat run");
+    )
+    .expect("pdat run");
     println!(
         "gates {} -> {} ({:.1}% reduction), {} invariants proved",
         result.baseline.gate_count,

@@ -10,23 +10,23 @@ pub use pdat::{
     run_pdat_batch, run_pdat_cached, rv_canonical_forms, rv_constraint, save_cache,
     save_cache_with_faults, thumb_canonical_forms, thumb_constraint, BatchRequest, CacheEffect,
     Candidate, CandidateId, CandidateKind, CanonicalEnv, CanonicalForm, Cause, ConstraintMode,
-    DegradationEvent, Environment, EnvMode, ExtraRestriction, FaultPlan, Governor, GovernorConfig,
+    DegradationEvent, EnvMode, Environment, ExtraRestriction, FaultPlan, Governor, GovernorConfig,
     InstrConstraint, LoadOutcome, PdatConfig, PdatError, PdatResult, PreparedNetlist, ProofCache,
     ProveConfig, Stage, SubsetReport,
 };
-pub use pdat_serve::{
-    OverloadReason, OwnedEnvironment, PdatService, Reply, ServeConfig, ServeRequest, ServiceStats,
-    SubmitError, Ticket,
-};
-pub use pdat_cache as cache;
-pub use pdat_governor as governor;
-pub use pdat_serve as serve;
 pub use pdat_aig as aig;
+pub use pdat_cache as cache;
 pub use pdat_cores as cores;
+pub use pdat_governor as governor;
 pub use pdat_isa as isa;
 pub use pdat_mc as mc;
 pub use pdat_netlist as netlist;
 pub use pdat_rtl as rtl;
 pub use pdat_sat as sat;
+pub use pdat_serve as serve;
+pub use pdat_serve::{
+    OverloadReason, OwnedEnvironment, PdatService, Reply, ServeConfig, ServeRequest, ServiceStats,
+    SubmitError, Ticket,
+};
 pub use pdat_synth as synth;
 pub use pdat_workloads as workloads;

@@ -24,8 +24,8 @@ use pdat_repro::{
     run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect, ConstraintMode, Environment,
     Governor, PdatConfig, PreparedNetlist, ProofCache, SubsetReport,
 };
-use std::borrow::Cow;
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Instructions the fixture watches for. Removing any of these from the

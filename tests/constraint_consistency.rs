@@ -129,21 +129,9 @@ fn rv32e_ceiling_is_exact() {
     let (aig, lit) = recognizer(&subset);
     use pdat_repro::isa::rv32::encode as e;
     for r in 0..32 {
-        assert_eq!(
-            accepts(&aig, lit, e::add(r, 1, 2)),
-            r < 16,
-            "rd = x{r}"
-        );
-        assert_eq!(
-            accepts(&aig, lit, e::add(1, r, 2)),
-            r < 16,
-            "rs1 = x{r}"
-        );
-        assert_eq!(
-            accepts(&aig, lit, e::add(1, 2, r)),
-            r < 16,
-            "rs2 = x{r}"
-        );
+        assert_eq!(accepts(&aig, lit, e::add(r, 1, 2)), r < 16, "rd = x{r}");
+        assert_eq!(accepts(&aig, lit, e::add(1, r, 2)), r < 16, "rs1 = x{r}");
+        assert_eq!(accepts(&aig, lit, e::add(1, 2, r)), r < 16, "rs2 = x{r}");
     }
     // Immediate bits overlapping the rs2 field position must stay free.
     assert!(accepts(&aig, lit, e::addi(1, 2, 0x7FF)));

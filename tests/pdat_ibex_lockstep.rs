@@ -31,7 +31,8 @@ fn transform(core: &IbexCore, subset: &RvSubset) -> IbexCore {
             mode: ConstraintMode::CutpointBased,
         },
         &fast_config(),
-    ).expect("pdat run");
+    )
+    .expect("pdat run");
     assert!(
         res.optimized.gate_count < res.baseline.gate_count,
         "expected a reduction for {}",
@@ -135,7 +136,8 @@ fn reduced_core_drops_excluded_functionality() {
             mode: ConstraintMode::CutpointBased,
         },
         &fast_config(),
-    ).expect("pdat run");
+    )
+    .expect("pdat run");
     // The 32-cycle multiply/divide datapath (acc registers + counter) is
     // dead under an RV32I-only environment.
     assert!(

@@ -73,7 +73,8 @@ fn pdat_strips_obfuscation_overhead_and_preserves_behaviour() {
             mode: ConstraintMode::PortBased,
         },
         &fast_config(),
-    ).expect("pdat run");
+    )
+    .expect("pdat run");
     assert!(
         res.gate_reduction() > 0.05,
         "full-ISA PDAT should strip obfuscation overhead, got {:.1}%",
@@ -96,7 +97,8 @@ fn interesting_subset_core_runs_interesting_programs() {
             mode: ConstraintMode::PortBased,
         },
         &fast_config(),
-    ).expect("pdat run");
+    )
+    .expect("pdat run");
     assert!(res.optimized.gate_count < res.baseline.gate_count);
     let reduced = rebind_cortexm0(res.netlist);
     // demo_program uses only two-byte, non-multiply, non-barrier forms:

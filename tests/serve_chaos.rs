@@ -16,9 +16,9 @@ use pdat_repro::isa::rv32::RvInstr;
 use pdat_repro::isa::RvSubset;
 use pdat_repro::netlist::{CellKind, NetId, Netlist};
 use pdat_repro::{
-    load_cache_or_quarantine, run_pdat_cached, save_cache_with_faults, CandidateId,
-    ConstraintMode, Environment, FaultPlan, LoadOutcome, OwnedEnvironment, PdatConfig,
-    PdatError, PdatService, ProofCache, Reply, ServeConfig, ServeRequest,
+    load_cache_or_quarantine, run_pdat_cached, save_cache_with_faults, CandidateId, ConstraintMode,
+    Environment, FaultPlan, LoadOutcome, OwnedEnvironment, PdatConfig, PdatError, PdatService,
+    ProofCache, Reply, ServeConfig, ServeRequest,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -229,7 +229,10 @@ fn corrupt_snapshot_is_quarantined_and_replaced() {
     )
     .expect("service boots over a corrupt snapshot");
     let boot = service.stats();
-    assert!(boot.cache_quarantined, "corrupt snapshot must be quarantined");
+    assert!(
+        boot.cache_quarantined,
+        "corrupt snapshot must be quarantined"
+    );
     assert_eq!(boot.cache_entries_loaded, 0);
     let mut quarantine = path.clone().into_os_string();
     quarantine.push(".quarantine");
