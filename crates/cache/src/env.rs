@@ -261,27 +261,6 @@ impl CanonicalEnv {
             _ => false,
         }
     }
-
-    /// Heuristic lattice depth for batch scheduling: ancestors (more
-    /// permissive environments) get smaller values, so processing in
-    /// ascending depth order populates the cache before its dependants
-    /// arrive. Monotone along the real order — `a ⊇ b ⇒ depth(a) ≤
-    /// depth(b)` for chains built by removing forms / adding extras —
-    /// but only a heuristic in general (ties are fine: a missed warm
-    /// start costs time, never soundness).
-    pub fn depth(&self) -> u64 {
-        let form_term = match self.mode {
-            EnvMode::Unconstrained => 0,
-            // Fewer allowed forms = deeper. Saturate defensively.
-            _ => (1u64 << 20).saturating_sub(self.forms.len() as u64),
-        };
-        let forbidden: u64 = self
-            .forms
-            .iter()
-            .map(|f| u64::from((f.forbidden | (f.mask & !f.value)).count_ones()))
-            .sum();
-        ((self.extras.len() as u64) << 44) | (form_term << 22) | forbidden.min((1 << 22) - 1)
-    }
 }
 
 #[cfg(test)]
@@ -378,7 +357,6 @@ mod tests {
         assert!(big.is_superset_of(&small));
         assert!(!small.is_superset_of(&big));
         assert!(big.is_superset_of(&big), "reflexive");
-        assert!(big.depth() <= small.depth(), "depth is monotone");
 
         let mut pinned = small.clone();
         pinned.extras.push(CanonicalExtra::PinnedInput {
@@ -387,7 +365,6 @@ mod tests {
         });
         assert!(small.is_superset_of(&pinned));
         assert!(!pinned.is_superset_of(&small));
-        assert!(small.depth() <= pinned.depth());
 
         // Different ports are never comparable (different constraint nets).
         let other_port = CanonicalEnv::canonicalize(
@@ -408,6 +385,5 @@ mod tests {
             CanonicalEnv::canonicalize(EnvMode::RvCut, vec![vec![1]], vec![form(1, 1)], vec![]);
         assert!(top.is_superset_of(&port));
         assert!(!top.is_superset_of(&cut), "cut AIG differs — incomparable");
-        assert!(top.depth() <= port.depth());
     }
 }

@@ -406,6 +406,55 @@ mod tests {
             key(&RvSubset::rv32e()),
             "register ceilings are part of the constraint identity"
         );
+        let thumb_key = |s: &ThumbSubset| {
+            CanonicalEnv::canonicalize(
+                EnvMode::ThumbPort,
+                vec![(0..16).collect()],
+                thumb_canonical_forms(s),
+                vec![],
+            )
+            .fingerprint()
+        };
+        assert_ne!(
+            thumb_key(&ThumbSubset::armv6m()),
+            thumb_key(&ThumbSubset::interesting_subset())
+        );
+    }
+
+    #[test]
+    fn canonical_envs_order_the_subset_lattice() {
+        use pdat_cache::{CanonicalEnv, EnvMode};
+        let rv = |s: &RvSubset| {
+            CanonicalEnv::canonicalize(
+                EnvMode::RvPort,
+                vec![(0..32).collect()],
+                rv_canonical_forms(s),
+                vec![],
+            )
+        };
+        let imcz = rv(&RvSubset::rv32imcz());
+        let i = rv(&RvSubset::rv32i());
+        let e = rv(&RvSubset::rv32e());
+        let sc = rv(&RvSubset::safety_critical());
+        assert!(imcz.is_superset_of(&i));
+        assert!(i.is_superset_of(&sc));
+        assert!(imcz.is_superset_of(&sc), "transitive");
+        assert!(!sc.is_superset_of(&i));
+        assert!(i.is_superset_of(&e), "ceiling only restricts");
+        assert!(!e.is_superset_of(&i), "ceiling blocks the reverse");
+        assert!(i.is_superset_of(&i), "reflexive");
+        let thumb = |s: &ThumbSubset| {
+            CanonicalEnv::canonicalize(
+                EnvMode::ThumbPort,
+                vec![(0..16).collect()],
+                thumb_canonical_forms(s),
+                vec![],
+            )
+        };
+        let full = thumb(&ThumbSubset::armv6m());
+        let interesting = thumb(&ThumbSubset::interesting_subset());
+        assert!(full.is_superset_of(&interesting));
+        assert!(!interesting.is_superset_of(&full));
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub use pdat_mc::{
     Candidate, CandidateId, CandidateKind, HoudiniStats, ProveConfig, ShardStats, SimFilterStats,
 };
 pub use pipeline::{
-    canonical_env, run_pdat, run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect,
-    Environment, ExtraRestriction, PdatConfig, PdatError, PdatResult, PreparedNetlist,
-    SubsetReport,
+    canonical_env, run_pdat, run_pdat_cached, run_pdat_prepared, CacheEffect, Environment,
+    ExtraRestriction, PdatConfig, PdatError, PdatResult, PreparedNetlist, SubsetReport,
 };

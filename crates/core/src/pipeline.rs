@@ -268,7 +268,7 @@ pub enum ExtraRestriction {
 /// run completes with whatever was proved, recording each cut in
 /// [`PdatResult::degradations`]. Extra restrictions, a proof cache, and a
 /// caller-supplied governor go through [`run_pdat_cached`] or
-/// [`run_pdat_batch`].
+/// [`run_pdat_prepared`].
 ///
 /// # Errors
 ///
@@ -621,82 +621,44 @@ pub fn run_pdat_cached(
 ) -> Result<SubsetReport, PdatError> {
     let governor = config_governor(config);
     let prepared = PreparedNetlist::new(Cow::Borrowed(netlist))?;
-    let cenv = canonical_env(env, extras);
-    solve_cached(&prepared, &cenv, env, extras, config, &governor, cache)
+    run_pdat_prepared(&prepared, env, extras, config, &governor, cache)
 }
 
-/// One request of a batched multi-subset run.
-pub struct BatchRequest<'a> {
-    /// The environment restriction to evaluate.
-    pub env: Environment<'a>,
-    /// Additional restrictions conjoined into the environment.
-    pub extras: Vec<ExtraRestriction>,
-}
-
-/// Evaluate many environment restrictions of one prepared netlist
-/// through the proof cache.
+/// [`run_pdat_cached`] over a prepared netlist, under a caller-supplied
+/// governor: the entry a long-lived caller (the service) uses for every
+/// request of one netlist.
 ///
 /// * The baseline resynthesis and the analysis model come from
 ///   `prepared`, which builds each at most once for its whole lifetime
-///   (the model memo holds the most recent cut-net list).
-/// * Requests are *processed* in ascending lattice depth (most
-///   permissive first, deterministic tie-break on fingerprint), so a
-///   chain `E ⊇ E' ⊇ E''` resolves ancestors first and every descendant
-///   warm-starts from the closest cached superset; duplicates collapse
-///   to exact hits.
-/// * One shared, caller-supplied governor spans the batch: its budgets
-///   are drained in that same deterministic order, and it can be cloned
-///   to another thread and `cancel()`ed. The `deadline` /
-///   `global_*_budget` / `fault_plan` fields of `config` are ignored
-///   here; [`run_pdat`] and [`run_pdat_cached`] build their governor from
-///   them.
-/// * Failures are **per-request**: a malformed request (e.g. a
-///   constraint net that is not a free analysis variable) yields an
-///   `Err` in its own slot and does not sink its batch-mates.
+///   (the model memo holds the most recent cut-net list). Exact hits read
+///   only the fingerprint, so they build nothing else.
+/// * Lattice hits warm-start from the closest cached superset, so a caller
+///   that wants a chain `E ⊇ E' ⊇ E''` to share proofs submits the
+///   ancestors first.
+/// * The `deadline` / `global_*_budget` / `fault_plan` fields of `config`
+///   are ignored here: `governor` bounds the run, and it can be cloned to
+///   another thread and `cancel()`ed. [`run_pdat`] and [`run_pdat_cached`]
+///   build their governor from those fields.
+/// * A malformed request returns its `Err` and leaves `prepared` and
+///   `cache` fit for the next request.
 ///
-/// Outcomes are returned in the *original request order*, one
-/// `Result<SubsetReport, PdatError>` per request.
-pub fn run_pdat_batch(
+/// # Errors
+///
+/// Returns [`PdatError`] if a constraint net is not a free analysis
+/// variable or an extra restriction is malformed.
+pub fn run_pdat_prepared(
     prepared: &PreparedNetlist<'_>,
-    requests: &[BatchRequest<'_>],
-    config: &PdatConfig,
-    governor: &Governor,
-    cache: &ProofCache,
-) -> Vec<Result<SubsetReport, PdatError>> {
-    let cenvs: Vec<CanonicalEnv> = requests
-        .iter()
-        .map(|r| canonical_env(&r.env, &r.extras))
-        .collect();
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by_key(|&i| (cenvs[i].depth(), cenvs[i].fingerprint(), i));
-
-    let mut out: Vec<Option<Result<SubsetReport, PdatError>>> =
-        (0..requests.len()).map(|_| None).collect();
-    for i in order {
-        let r = &requests[i];
-        out[i] = Some(solve_cached(
-            prepared, &cenvs[i], &r.env, &r.extras, config, governor, cache,
-        ));
-    }
-    out.into_iter().flatten().collect()
-}
-
-/// Shared cached-solve core: consult the cache, solve (warm or cold) on
-/// anything short of an exact hit, and insert complete solves back.
-/// Exact hits read only the fingerprint, so they build nothing else.
-fn solve_cached(
-    prepared: &PreparedNetlist<'_>,
-    cenv: &CanonicalEnv,
     env: &Environment<'_>,
     extras: &[ExtraRestriction],
     config: &PdatConfig,
     governor: &Governor,
     cache: &ProofCache,
 ) -> Result<SubsetReport, PdatError> {
+    let cenv = canonical_env(env, extras);
     let nl = &prepared.netlist;
     let nfp = *prepared.fingerprint.get_or_init(|| netlist_fingerprint(nl));
     let env_fp = cenv.fingerprint();
-    let (warm, effect) = match cache.lookup(nfp, cenv) {
+    let (warm, effect) = match cache.lookup(nfp, &cenv) {
         CacheLookup::Exact(run) => {
             return Ok(SubsetReport {
                 netlist_fingerprint: nfp,
@@ -734,7 +696,7 @@ fn solve_cached(
         cache.insert(
             nfp,
             CachedRun {
-                env: cenv.clone(),
+                env: cenv,
                 proved: proved.clone(),
                 summary: summary.clone(),
             },
@@ -892,6 +854,7 @@ fn apply_rewirings(nl: &mut Netlist, proved: &[Candidate]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdat_governor::Cause;
     use pdat_netlist::CellKind;
 
     /// A toy "decoder + execute" design: 4-bit opcode input; op==0xF drives
@@ -1013,99 +976,66 @@ mod tests {
     }
 
     #[test]
-    fn batch_resolves_ancestors_first_and_replies_in_request_order() {
-        let (nl, a) = locked_core();
-        let cache = ProofCache::new();
-        let cfg = PdatConfig::default();
-        // Deliberately out of lattice order: the descendant first, then
-        // the (duplicated) unconstrained ancestor.
-        let requests = vec![
-            BatchRequest {
-                env: Environment::Unconstrained,
-                extras: vec![ExtraRestriction::PinnedInput {
-                    nets: vec![a],
-                    value: 0,
-                }],
-            },
-            BatchRequest {
-                env: Environment::Unconstrained,
-                extras: vec![],
-            },
-            BatchRequest {
-                env: Environment::Unconstrained,
-                extras: vec![],
-            },
-        ];
-        let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
-        let outcomes = run_pdat_batch(&prepared, &requests, &cfg, &Governor::unlimited(), &cache);
-        assert_eq!(outcomes.len(), 3);
-        let reports: Vec<&SubsetReport> = outcomes
-            .iter()
-            .map(|r| r.as_ref().expect("valid request"))
-            .collect();
-        // The ancestor solved cold (once), its duplicate was an exact
-        // hit, and the descendant warm-started — despite arriving first.
-        assert_eq!(reports[1].cache, CacheEffect::Miss);
-        assert_eq!(reports[2].cache, CacheEffect::ExactHit);
-        assert_eq!(
-            reports[0].cache,
-            CacheEffect::LatticeHit {
-                warm: reports[1].proved.len()
-            }
-        );
-        assert_eq!(reports[1].proved, reports[2].proved);
-        let s = cache.stats();
-        assert_eq!((s.exact_hits, s.lattice_hits, s.misses), (1, 1, 1));
-    }
-
-    #[test]
     fn batch_isolates_malformed_requests() {
         // Attaching an RV constraint to the internal net `t` is the
-        // malformed case (`UnboundConstraintNet`).
+        // malformed case (`UnboundConstraintNet`). Requests around it share
+        // one prepared netlist (and its model memo) and one cache.
         let (nl, _) = locked_core();
         let t = nl.find_net("t").expect("fixture net");
 
         let subset = RvSubset::rv32i();
+        let malformed = Environment::Rv {
+            subset: &subset,
+            ports: vec![vec![t; 32]],
+            mode: ConstraintMode::PortBased,
+        };
         let cache = ProofCache::new();
-        let requests = vec![
-            BatchRequest {
-                env: Environment::Unconstrained,
-                extras: vec![],
-            },
-            BatchRequest {
-                env: Environment::Rv {
-                    subset: &subset,
-                    ports: vec![vec![t; 32]],
-                    mode: ConstraintMode::PortBased,
-                },
-                extras: vec![],
-            },
-            BatchRequest {
-                env: Environment::Unconstrained,
-                extras: vec![],
-            },
-        ];
         let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
-        let outcomes = run_pdat_batch(
-            &prepared,
-            &requests,
-            &PdatConfig::default(),
-            &Governor::unlimited(),
-            &cache,
-        );
-        assert_eq!(outcomes.len(), 3);
+        let run = |env: &Environment<'_>| {
+            run_pdat_prepared(
+                &prepared,
+                env,
+                &[],
+                &PdatConfig::default(),
+                &Governor::unlimited(),
+                &cache,
+            )
+        };
+        let first = run(&Environment::Unconstrained).expect("valid request");
+        let bad = run(&malformed);
         assert!(
-            matches!(outcomes[1], Err(PdatError::UnboundConstraintNet { .. })),
-            "the malformed request fails in its own slot: {:?}",
-            outcomes[1].as_ref().map(|_| ())
+            matches!(bad, Err(PdatError::UnboundConstraintNet { .. })),
+            "the malformed request returns its own error: {:?}",
+            bad.as_ref().map(|_| ())
         );
-        let good: Vec<&SubsetReport> = [&outcomes[0], &outcomes[2]]
-            .into_iter()
-            .map(|r| r.as_ref().expect("well-formed batch-mate survives"))
-            .collect();
-        assert!(!good[0].proved.is_empty());
-        assert_eq!(good[0].proved, good[1].proved);
-        assert_eq!(good[1].cache, CacheEffect::ExactHit);
+        let next = run(&Environment::Unconstrained).expect("the next request still answers");
+        assert!(!first.proved.is_empty());
+        assert_eq!(first.proved, next.proved);
+        assert_eq!(next.cache, CacheEffect::ExactHit);
+    }
+
+    #[test]
+    fn cancelled_governor_proves_and_caches_nothing() {
+        let (nl, _) = locked_core();
+        let cache = ProofCache::new();
+        let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
+        let governor = Governor::unlimited();
+        governor.cancel();
+        let report = run_pdat_prepared(
+            &prepared,
+            &Environment::Unconstrained,
+            &[],
+            &PdatConfig::default(),
+            &governor,
+            &cache,
+        )
+        .expect("valid request");
+        assert_eq!(report.cache, CacheEffect::Miss);
+        assert!(report.proved.is_empty(), "a cancelled run proves nothing");
+        let res = report.result.expect("a miss carries its result");
+        assert!(res.degradations.iter().any(|d| d.cause == Cause::Cancelled));
+        assert_eq!(cache.stats().insertions, 0, "a cut run is not cached");
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

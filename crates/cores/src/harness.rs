@@ -62,11 +62,6 @@ impl<'a> CoreHarness<'a> {
         u32::from_le_bytes(self.dmem[addr..addr + 4].try_into().unwrap())
     }
 
-    /// Write a little-endian word into data memory.
-    pub fn set_dmem_word(&mut self, addr: usize, value: u32) {
-        self.dmem[addr..addr + 4].copy_from_slice(&value.to_le_bytes());
-    }
-
     /// Advance one clock cycle; services instruction fetch, load data, and
     /// store commits.
     pub fn step(&mut self) {

@@ -298,40 +298,12 @@ impl Governor {
         self.inner.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Charge one SAT conflict to the global budget.
-    pub fn charge_conflict(&self) {
-        self.inner.conflicts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Charge `n` SAT conflicts at once. The solver batches its governor
-    /// traffic through this (one atomic add per batch instead of one per
-    /// conflict), which is what keeps the armed-governor overhead in the
-    /// propagation loop under the 2% budget.
+    /// Charge `n` SAT conflicts to the global budget. The solver charges
+    /// each conflict as it happens, so a stop decision always reads the
+    /// exact count.
     pub fn charge_conflicts(&self, n: u64) {
         if n > 0 {
             self.inner.conflicts.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// How many more conflicts may be charged before either the global
-    /// conflict cap or an armed solver-fault threshold trips, `None` if
-    /// neither is armed. The solver uses this to size its charge batches:
-    /// charging in batches of at most `conflict_slack()` keeps the
-    /// *observable* counter exact at every stop decision, so exact-count
-    /// semantics (`conflicts_used() == cap`) survive batching.
-    pub fn conflict_slack(&self) -> Option<u64> {
-        let used = self.conflicts_used();
-        let cap_slack = self.inner.conflict_cap.map(|cap| cap.saturating_sub(used));
-        let fault_slack = self
-            .inner
-            .fault
-            .solver_unknown_after_conflicts
-            .map(|n| n.saturating_sub(used));
-        match (cap_slack, fault_slack) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
         }
     }
 
@@ -413,7 +385,7 @@ mod tests {
     #[test]
     fn unlimited_never_exhausts() {
         let g = Governor::unlimited();
-        g.charge_conflict();
+        g.charge_conflicts(1);
         g.charge_cycles(1_000_000);
         assert_eq!(g.exhausted(), None);
         assert!(!g.solver_should_stop());
@@ -429,10 +401,10 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(g.exhausted(), None);
-        g.charge_conflict();
+        g.charge_conflicts(1);
         assert_eq!(g.remaining_conflicts(), Some(1));
-        g.charge_conflict();
-        g.charge_conflict(); // over-charge must saturate, not underflow
+        g.charge_conflicts(1);
+        g.charge_conflicts(1); // over-charge must saturate, not underflow
         assert_eq!(g.remaining_conflicts(), Some(0));
         assert_eq!(g.exhausted(), Some(Cause::ConflictBudget));
         g.charge_cycles(5);
@@ -446,7 +418,7 @@ mod tests {
             ..Default::default()
         });
         let h = g.clone();
-        h.charge_conflict();
+        h.charge_conflicts(1);
         assert_eq!(g.exhausted(), Some(Cause::ConflictBudget));
         g.cancel();
         assert!(h.is_cancelled());
@@ -495,36 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn conflict_slack_tracks_cap_and_fault() {
-        let g = Governor::unlimited();
-        assert_eq!(g.conflict_slack(), None);
-
-        let g = Governor::new(&GovernorConfig {
-            conflict_budget: Some(10),
-            ..Default::default()
-        });
-        assert_eq!(g.conflict_slack(), Some(10));
-        g.charge_conflicts(7);
-        assert_eq!(g.conflict_slack(), Some(3));
-        g.charge_conflicts(0); // no-op
-        assert_eq!(g.conflicts_used(), 7);
-
-        // An armed fault threshold tightens the slack below the cap.
-        let g = Governor::new(&GovernorConfig {
-            conflict_budget: Some(100),
-            fault_plan: FaultPlan {
-                solver_unknown_after_conflicts: Some(4),
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        assert_eq!(g.conflict_slack(), Some(4));
-        g.charge_conflicts(4);
-        assert_eq!(g.conflict_slack(), Some(0));
-        assert!(g.solver_should_stop());
-    }
-
-    #[test]
     fn solver_fault_trips_after_threshold() {
         let g = Governor::new(&GovernorConfig {
             fault_plan: FaultPlan {
@@ -534,9 +476,9 @@ mod tests {
             ..Default::default()
         });
         assert!(!g.solver_should_stop());
-        g.charge_conflict();
+        g.charge_conflicts(1);
         assert!(!g.solver_should_stop());
-        g.charge_conflict();
+        g.charge_conflicts(1);
         assert!(g.solver_should_stop());
     }
 }

@@ -149,35 +149,6 @@ impl RvSubset {
         self.instrs.contains(&i)
     }
 
-    /// Stable content fingerprint (FNV-1a over the allowed forms'
-    /// encoding patterns and the register ceiling). Independent of the
-    /// display name and of process or toolchain: two subsets allowing
-    /// the same instruction words always hash the same — the identity
-    /// the subset-lattice proof cache keys on.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv_start();
-        h = fnv_u64(h, self.instrs.len() as u64);
-        for i in &self.instrs {
-            let p = i.pattern();
-            h = fnv_u64(h, u64::from(p.mask) << 32 | u64::from(p.value));
-            h = fnv_u64(h, u64::from(p.width == crate::PatternWidth::Half));
-        }
-        h = fnv_u64(h, self.reg_limit.map_or(u64::MAX, u64::from));
-        h
-    }
-
-    /// Lattice order: does this subset allow every instruction word
-    /// `other` allows? (Form containment plus a no-stricter register
-    /// ceiling.)
-    pub fn allows_all_of(&self, other: &RvSubset) -> bool {
-        let limit_ok = match (self.reg_limit, other.reg_limit) {
-            (None, _) => true,
-            (Some(_), None) => false,
-            (Some(a), Some(b)) => a >= b,
-        };
-        limit_ok && other.instrs.is_subset(&self.instrs)
-    }
-
     /// Number of allowed forms, grouped by extension (Table I row shape).
     pub fn count_by_extension(&self) -> [(RvExtension, usize); 4] {
         use RvExtension::*;
@@ -238,37 +209,6 @@ impl ThumbSubset {
     pub fn contains(&self, i: ThumbInstr) -> bool {
         self.instrs.contains(&i)
     }
-
-    /// Stable content fingerprint (see [`RvSubset::fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv_start();
-        h = fnv_u64(h, self.instrs.len() as u64);
-        for i in &self.instrs {
-            let p = i.pattern();
-            h = fnv_u64(h, u64::from(p.mask) << 32 | u64::from(p.value));
-            h = fnv_u64(h, u64::from(i.is_32bit()));
-        }
-        h
-    }
-
-    /// Lattice order: does this subset allow every form `other` allows?
-    pub fn allows_all_of(&self, other: &ThumbSubset) -> bool {
-        other.instrs.is_subset(&self.instrs)
-    }
-}
-
-/// FNV-1a offset basis (fingerprints must be stable across processes,
-/// so no `DefaultHasher`).
-fn fnv_start() -> u64 {
-    0xcbf2_9ce4_8422_2325
-}
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl fmt::Display for ThumbSubset {
@@ -341,44 +281,5 @@ mod tests {
     #[test]
     fn armv6m_has_83_forms() {
         assert_eq!(ThumbSubset::armv6m().instrs.len(), 83);
-    }
-
-    #[test]
-    fn fingerprints_are_content_addressed() {
-        // Renaming does not change the fingerprint...
-        let mut renamed = RvSubset::rv32i();
-        renamed.name = "something else".to_string();
-        assert_eq!(renamed.fingerprint(), RvSubset::rv32i().fingerprint());
-        // ...content does.
-        assert_ne!(
-            RvSubset::rv32i().fingerprint(),
-            RvSubset::rv32im().fingerprint()
-        );
-        assert_ne!(
-            RvSubset::rv32i().fingerprint(),
-            RvSubset::rv32e().fingerprint(),
-            "register ceiling is part of the identity"
-        );
-        assert_ne!(
-            ThumbSubset::armv6m().fingerprint(),
-            ThumbSubset::interesting_subset().fingerprint()
-        );
-    }
-
-    #[test]
-    fn allows_all_of_is_the_subset_lattice() {
-        let imcz = RvSubset::rv32imcz();
-        let i = RvSubset::rv32i();
-        let e = RvSubset::rv32e();
-        let sc = RvSubset::safety_critical();
-        assert!(imcz.allows_all_of(&i));
-        assert!(i.allows_all_of(&sc));
-        assert!(imcz.allows_all_of(&sc), "transitive");
-        assert!(!sc.allows_all_of(&i));
-        assert!(i.allows_all_of(&e), "ceiling only restricts");
-        assert!(!e.allows_all_of(&i), "ceiling blocks the reverse");
-        assert!(i.allows_all_of(&i), "reflexive");
-        assert!(ThumbSubset::armv6m().allows_all_of(&ThumbSubset::interesting_subset()));
-        assert!(!ThumbSubset::interesting_subset().allows_all_of(&ThumbSubset::armv6m()));
     }
 }

@@ -70,8 +70,8 @@ pub struct Cell {
 }
 
 /// Error from a fallible netlist mutation ([`Netlist::try_connect_cell`],
-/// [`Netlist::try_assign_alias`]). The panicking variants of those methods
-/// exist for programmatic construction where a violation is a caller bug;
+/// [`Netlist::try_assign_alias`]). The panicking [`Netlist::assign_alias`]
+/// exists for programmatic construction where a violation is a caller bug;
 /// input-facing code (the structural-format parser) uses the `try_` forms
 /// so malformed input surfaces as an error, never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -255,21 +255,8 @@ impl Netlist {
 
     /// Instantiate a cell driving an *existing* undriven net (used by the
     /// structural-format parser, where output nets are declared up front).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output` already has a driver or the pin count mismatches.
-    /// Use [`Netlist::try_connect_cell`] when the request derives from
-    /// untrusted input.
-    pub fn connect_cell(&mut self, kind: CellKind, inputs: &[NetId], output: NetId, init: bool) {
-        if let Err(e) = self.try_connect_cell(kind, inputs, output, init) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Netlist::connect_cell`]: reports a wrong pin count or an
-    /// already-driven output as an error instead of panicking. On error the
-    /// netlist is unchanged.
+    /// Reports a wrong pin count or an already-driven output as an error;
+    /// on error the netlist is unchanged.
     pub fn try_connect_cell(
         &mut self,
         kind: CellKind,

@@ -140,7 +140,7 @@ proptest! {
         while !text.is_char_boundary(end) {
             end -= 1;
         }
-        let mut bytes = text[..end].as_bytes().to_vec();
+        let mut bytes = text.as_bytes()[..end].to_vec();
 
         // Bit flips anywhere in the remaining bytes.
         for (pos, bit) in &flips {

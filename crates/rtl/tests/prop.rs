@@ -111,13 +111,9 @@ proptest! {
         let nl = b.finish();
         let got_q = eval(&nl, &[(&a, x), (&c, y)], &q);
         let got_r = eval(&nl, &[(&a, x), (&c, y)], &r);
-        if y == 0 {
-            prop_assert_eq!(got_q, mask(w), "div-by-zero convention");
-            prop_assert_eq!(got_r, x);
-        } else {
-            prop_assert_eq!(got_q, x / y);
-            prop_assert_eq!(got_r, x % y);
-        }
+        // Division by zero: all-ones quotient, remainder = dividend.
+        prop_assert_eq!(got_q, x.checked_div(y).unwrap_or(mask(w)));
+        prop_assert_eq!(got_r, x.checked_rem(y).unwrap_or(x));
     }
 
     #[test]

@@ -143,12 +143,6 @@ type ClauseRef = u32;
 /// Default cap on retained learnt clauses before a reduction pass.
 const DEFAULT_CLAUSE_DB_LIMIT: usize = 8192;
 
-/// Upper bound on how many conflicts may be charged to the governor in one
-/// batch. Bounds how stale the shared counter can get (and therefore how
-/// late a deadline/cancellation check can fire) while keeping the armed
-/// overhead to one atomic add per batch instead of one per conflict.
-const GOVERNOR_BATCH: u64 = 64;
-
 /// Conflict-driven clause-learning SAT solver.
 ///
 /// See the crate docs for an example. The solver is incremental: clauses may
@@ -199,11 +193,6 @@ pub struct Solver {
     num_learnt: usize, // live (non-deleted) learnt clauses
     conflict_budget: Option<u64>,
     governor: Option<Governor>,
-    /// Conflicts counted locally but not yet charged to the governor.
-    pending_conflicts: u64,
-    /// Conflicts until the next governor flush; sized from
-    /// [`Governor::conflict_slack`] so exact-count stops still land exactly.
-    charge_batch: u64,
     ok: bool,
     cla_inc: f32,
     learnt_cap: usize,
@@ -245,8 +234,6 @@ impl Solver {
             num_learnt: 0,
             conflict_budget: None,
             governor: None,
-            pending_conflicts: 0,
-            charge_batch: GOVERNOR_BATCH,
             ok: true,
             cla_inc: 1.0,
             learnt_cap: DEFAULT_CLAUSE_DB_LIMIT,
@@ -379,20 +366,13 @@ impl Solver {
         self.solve_conflicts
     }
 
-    /// Attach a shared [`Governor`]: conflicts are charged to its global
-    /// budget (in batches — see [`Governor::conflict_slack`]), and the
-    /// search stops with [`SolveResult::Unknown`] when the governor reports
-    /// exhaustion (global conflict cap, deadline, cancellation, or an armed
-    /// solver fault).
+    /// Attach a shared [`Governor`]: each conflict is charged to its global
+    /// budget as it happens, and the search stops with
+    /// [`SolveResult::Unknown`] when the governor reports exhaustion (global
+    /// conflict cap, deadline, cancellation, or an armed solver fault), so
+    /// exact-count stops land on the exact conflict.
     pub fn set_governor(&mut self, governor: Governor) {
-        self.flush_governor_charges();
         self.governor = Some(governor);
-    }
-
-    /// Detach the governor (the per-solve budget still applies).
-    pub fn clear_governor(&mut self) {
-        self.flush_governor_charges();
-        self.governor = None;
     }
 
     fn lit_value(&self, l: Lit) -> u8 {
@@ -830,28 +810,6 @@ impl Solver {
         }
     }
 
-    /// Push locally-counted conflicts to the governor's global counter.
-    fn flush_governor_charges(&mut self) {
-        if self.pending_conflicts > 0 {
-            if let Some(g) = &self.governor {
-                g.charge_conflicts(self.pending_conflicts);
-            }
-            self.pending_conflicts = 0;
-        }
-    }
-
-    /// Size the next charge batch so the flush lands exactly on any armed
-    /// conflict cap or fault threshold (exact-count stops), capped at
-    /// [`GOVERNOR_BATCH`] to bound counter staleness.
-    fn recompute_charge_batch(&mut self) {
-        self.charge_batch = match &self.governor {
-            Some(g) => g
-                .conflict_slack()
-                .map_or(GOVERNOR_BATCH, |s| s.clamp(1, GOVERNOR_BATCH)),
-            None => GOVERNOR_BATCH,
-        };
-    }
-
     /// Solve the current formula with no assumptions.
     pub fn solve(&mut self) -> SolveResult {
         self.solve_with(&[])
@@ -883,7 +841,6 @@ impl Solver {
         {
             return SolveResult::Unknown;
         }
-        self.recompute_charge_batch();
         self.cancel_until(0);
         let mut restart_idx = 0u64;
         let result = loop {
@@ -896,7 +853,6 @@ impl Solver {
                 SearchOutcome::BudgetExhausted => break SolveResult::Unknown,
             }
         };
-        self.flush_governor_charges();
         if result == SolveResult::Sat {
             // Snapshot the model for value(). The trail stays until the next
             // add_clause or solve call unwinds it, so the model's phases are
@@ -956,18 +912,10 @@ impl Solver {
                 self.conflicts += 1;
                 self.solve_conflicts += 1;
                 local_conflicts += 1;
-                if self.governor.is_some() {
-                    self.pending_conflicts += 1;
-                    if self.pending_conflicts >= self.charge_batch {
-                        self.flush_governor_charges();
-                        if self
-                            .governor
-                            .as_ref()
-                            .is_some_and(|g| g.solver_should_stop())
-                        {
-                            return SearchOutcome::BudgetExhausted;
-                        }
-                        self.recompute_charge_batch();
+                if let Some(g) = &self.governor {
+                    g.charge_conflicts(1);
+                    if g.solver_should_stop() {
+                        return SearchOutcome::BudgetExhausted;
                     }
                 }
                 if !self.learn_from(confl, assumption_level) {
@@ -1184,8 +1132,7 @@ mod tests {
         let mut s = pigeonhole(9, 8);
         s.set_governor(g.clone());
         assert_eq!(s.solve(), SolveResult::Unknown);
-        // Batched charging must still stop at *exactly* the cap: the batch
-        // is sized from the governor's slack.
+        // The stop lands on *exactly* the cap.
         assert_eq!(g.conflicts_used(), 5);
         assert_eq!(g.exhausted(), Some(Cause::ConflictBudget));
         // Once the global budget is gone, later calls stop at entry.
@@ -1194,10 +1141,8 @@ mod tests {
     }
 
     #[test]
-    fn batched_charging_lands_exactly_on_cap() {
+    fn charging_lands_exactly_on_cap() {
         use pdat_governor::GovernorConfig;
-        // A cap that is neither 0 nor a multiple of the batch size: the
-        // final short batch must still flush before the stop decision.
         let g = Governor::new(&GovernorConfig {
             conflict_budget: Some(7),
             ..Default::default()
@@ -1211,9 +1156,8 @@ mod tests {
     #[test]
     fn governor_charges_flush_on_every_exit_path() {
         use pdat_governor::GovernorConfig;
-        // Unlimited cap: batches are GOVERNOR_BATCH-sized, so an Unsat
-        // verdict mid-batch must flush the remainder — the global counter
-        // equals the solver's own exact count afterwards.
+        // Unlimited cap: after an Unsat verdict the global counter equals
+        // the solver's own exact count.
         let g = Governor::new(&GovernorConfig::default());
         let mut s = pigeonhole(8, 7);
         s.set_governor(g.clone());
@@ -1237,12 +1181,21 @@ mod tests {
         s.add_clause(&[Lit::pos(a)]);
         s.set_governor(g);
         assert_eq!(s.solve(), SolveResult::Unknown);
-        s.clear_governor();
-        assert_eq!(s.solve(), SolveResult::Sat);
     }
 
     #[test]
-    fn governor_fault_threshold_is_exact_under_batching() {
+    fn cancelled_governor_stops_at_entry() {
+        let g = Governor::unlimited();
+        g.cancel();
+        let mut s = pigeonhole(9, 8);
+        s.set_governor(g.clone());
+        assert_eq!(s.solve(), SolveResult::Unknown);
+        assert_eq!(s.conflicts_last_solve(), 0);
+        assert_eq!(g.conflicts_used(), 0, "a cancelled solve charges nothing");
+    }
+
+    #[test]
+    fn governor_fault_threshold_is_exact() {
         use pdat_governor::{FaultPlan, GovernorConfig};
         let g = Governor::new(&GovernorConfig {
             fault_plan: FaultPlan {

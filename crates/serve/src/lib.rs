@@ -1,10 +1,11 @@
 //! # pdat-serve — a supervised, deadline-governed PDAT service
 //!
-//! The batch driver (`pdat::run_pdat_batch`) answers a closed set of
-//! requests and exits; this crate keeps a PDAT instance *resident*: one
+//! `pdat::run_pdat_prepared` answers one request of a prepared netlist
+//! through a proof cache; this crate keeps a PDAT instance *resident*: one
 //! long-running service owns one `pdat::PreparedNetlist` and one shared
-//! proof cache, and answers subset requests over time, surviving worker
-//! crashes, per-request deadline blowouts, and interrupted cache saves.
+//! proof cache, sends each admitted request through that entry, and
+//! answers subset requests over time, surviving worker crashes,
+//! per-request deadline blowouts, and interrupted cache saves.
 //!
 //! The dependency-free service loop is three pieces:
 //!

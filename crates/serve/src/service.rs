@@ -35,7 +35,7 @@
 
 use crate::queue::{BoundedQueue, TryPush};
 use crate::request::{OverloadReason, Reply, ServeRequest, SubmitError, Ticket};
-use pdat::{run_pdat_batch, BatchRequest, PdatConfig, PdatError, PreparedNetlist, ProofCache};
+use pdat::{run_pdat_prepared, PdatConfig, PdatError, PreparedNetlist, ProofCache};
 use pdat_cache::{load_cache_or_quarantine, save_cache_with_faults, LoadOutcome};
 use pdat_governor::{Cause, FaultPlan, Governor, GovernorConfig};
 use pdat_netlist::Netlist;
@@ -507,27 +507,20 @@ fn run_attempt(shared: &Shared, job: &Job) -> AttemptOutcome {
         cycle_budget: cfg.request_cycle_budget,
         fault_plan: attempt_plan,
     });
-    let request = [BatchRequest {
-        env: job.req.env.as_env(),
-        extras: job.req.extras.clone(),
-    }];
-    let outcome = run_pdat_batch(
+    let outcome = run_pdat_prepared(
         &shared.netlist,
-        &request,
+        &job.req.env.as_env(),
+        &job.req.extras,
         &cfg.pdat,
         &governor,
         &shared.cache,
-    )
-    .pop();
+    );
     shared
         .service_governor
         .charge_conflicts(governor.conflicts_used());
     match outcome {
-        Some(Err(e)) => AttemptOutcome::Reply(Box::new(Reply::Rejected(e))),
-        // A batch fills one slot per request; an empty answer would be an
-        // internal fault, so it is retried like one.
-        None => AttemptOutcome::Retry(Cause::WorkerPanic),
-        Some(Ok(report)) => {
+        Err(e) => AttemptOutcome::Reply(Box::new(Reply::Rejected(e))),
+        Ok(report) => {
             let first_degradation = report
                 .result
                 .as_ref()

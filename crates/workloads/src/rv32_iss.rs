@@ -84,11 +84,6 @@ impl Rv32Iss {
         }
     }
 
-    /// Word in memory (little-endian) — test helper.
-    pub fn mem_word(&self, addr: usize) -> u32 {
-        self.load(addr as u32, 4)
-    }
-
     /// Execute until `ecall`/`ebreak`, an illegal encoding, or `fuel`
     /// retired instructions.
     pub fn run(&mut self, fuel: u64) -> RvStop {

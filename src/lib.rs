@@ -7,9 +7,9 @@
 
 pub use pdat::{
     canonical_env, load_cache, load_cache_or_quarantine, netlist_fingerprint, run_pdat,
-    run_pdat_batch, run_pdat_cached, rv_canonical_forms, rv_constraint, save_cache,
-    save_cache_with_faults, thumb_canonical_forms, thumb_constraint, BatchRequest, CacheEffect,
-    Candidate, CandidateId, CandidateKind, CanonicalEnv, CanonicalForm, Cause, ConstraintMode,
+    run_pdat_cached, run_pdat_prepared, rv_canonical_forms, rv_constraint, save_cache,
+    save_cache_with_faults, thumb_canonical_forms, thumb_constraint, CacheEffect, Candidate,
+    CandidateId, CandidateKind, CanonicalEnv, CanonicalForm, Cause, ConstraintMode,
     DegradationEvent, EnvMode, Environment, ExtraRestriction, FaultPlan, Governor, GovernorConfig,
     InstrConstraint, LoadOutcome, PdatConfig, PdatError, PdatResult, PreparedNetlist, ProofCache,
     ProveConfig, Stage, SubsetReport,

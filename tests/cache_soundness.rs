@@ -17,12 +17,15 @@
 //! instruction from the environment makes its detector (and latch)
 //! provably constant-false.
 
+mod common;
+
+use common::detector_core;
 use pdat_repro::isa::rv32::RvInstr;
 use pdat_repro::isa::RvSubset;
-use pdat_repro::netlist::{CellKind, NetId, Netlist};
+use pdat_repro::netlist::{NetId, Netlist};
 use pdat_repro::{
-    run_pdat_batch, run_pdat_cached, BatchRequest, CacheEffect, ConstraintMode, Environment,
-    Governor, PdatConfig, PreparedNetlist, ProofCache, SubsetReport,
+    run_pdat_cached, run_pdat_prepared, CacheEffect, ConstraintMode, Environment, Governor,
+    PdatConfig, PreparedNetlist, ProofCache, SubsetReport,
 };
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -40,40 +43,6 @@ const WATCHED: [RvInstr; 8] = [
     RvInstr::Andi,
     RvInstr::Beq,
 ];
-
-/// A 32-bit instruction port driving one exact-pattern detector and one
-/// sticky "ever seen" latch per watched instruction.
-fn detector_core() -> (Netlist, Vec<NetId>) {
-    let mut nl = Netlist::new("rvdet");
-    let port: Vec<NetId> = (0..32).map(|b| nl.add_input(&format!("i{b}"))).collect();
-    for instr in WATCHED {
-        let p = instr.pattern();
-        let tag = format!("{instr:?}").to_lowercase();
-        let mut acc: Option<NetId> = None;
-        for b in 0..32 {
-            if p.mask >> b & 1 == 0 {
-                continue;
-            }
-            let bit = if p.value >> b & 1 == 1 {
-                port[b]
-            } else {
-                nl.add_cell(CellKind::Inv, &[port[b]], &format!("{tag}_n{b}"))
-            };
-            acc = Some(match acc {
-                None => bit,
-                Some(a) => nl.add_cell(CellKind::And2, &[a, bit], &format!("{tag}_a{b}")),
-            });
-        }
-        let det = acc.expect("pattern has masked bits");
-        let fb = nl.add_net(&format!("{tag}_fb"));
-        let q = nl.add_dff(fb, false, &format!("{tag}_seen"));
-        let sticky = nl.add_cell(CellKind::Or2, &[q, det], &format!("{tag}_sticky"));
-        nl.assign_alias(fb, sticky);
-        nl.add_output(&format!("saw_{tag}"), sticky);
-    }
-    nl.validate().expect("fixture netlist valid");
-    (nl, port)
-}
 
 fn base_config() -> PdatConfig {
     PdatConfig {
@@ -154,7 +123,7 @@ proptest! {
     /// proved set.
     #[test]
     fn warm_equals_cold_and_starved_warm_shrinks(seed in any::<u64>()) {
-        let (nl, port) = detector_core();
+        let (nl, port) = detector_core(&WATCHED);
         let config = base_config();
         let subsets = chain(seed);
 
@@ -167,19 +136,24 @@ proptest! {
         // removal makes at least one more detector provably dead).
         prop_assert!(cold_reports[0].proved.len() <= cold_reports[2].proved.len());
 
-        // Warm pass: one batch, one shared cache. E0 misses; E1 and E2
-        // are strict descendants, so they must warm-start off an
-        // ancestor — and still answer bit-identically.
+        // Warm pass: one shared cache, requests in chain order. E0
+        // misses; E1 and E2 are strict descendants, so they must
+        // warm-start off an ancestor — and still answer bit-identically.
         let shared = ProofCache::new();
-        let requests: Vec<BatchRequest> = subsets[..3]
-            .iter()
-            .map(|s| BatchRequest { env: port_env(s, &port), extras: Vec::new() })
-            .collect();
         let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
-        let warm: Vec<SubsetReport> =
-            run_pdat_batch(&prepared, &requests, &config, &Governor::unlimited(), &shared)
-            .into_iter()
-            .map(|r| r.expect("well-formed warm request"))
+        let warm: Vec<SubsetReport> = subsets[..3]
+            .iter()
+            .map(|s| {
+                run_pdat_prepared(
+                    &prepared,
+                    &port_env(s, &port),
+                    &[],
+                    &config,
+                    &Governor::unlimited(),
+                    &shared,
+                )
+                .expect("well-formed warm request")
+            })
             .collect();
         prop_assert!(matches!(warm[0].cache, CacheEffect::Miss));
         for (i, (c, w)) in cold_reports.iter().zip(&warm).enumerate() {
@@ -236,7 +210,7 @@ proptest! {
 /// environments with genuinely different fixpoints.
 #[test]
 fn detector_fixture_is_subset_sensitive() {
-    let (nl, port) = detector_core();
+    let (nl, port) = detector_core(&WATCHED);
     let config = base_config();
     let full = RvSubset::rv32i();
     let mut no_add = RvSubset::rv32i();

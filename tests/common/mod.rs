@@ -1,10 +1,12 @@
-//! Shared helpers for the integration tests: the keyed-design fixture,
-//! the pipeline's falsify stage rebuilt from public parts, and the plain
-//! Houdini oracle the prover is compared against.
+//! Shared helpers for the integration tests: the keyed-design and
+//! instruction-detector fixtures, the pipeline's falsify stage rebuilt
+//! from public parts, and the plain Houdini oracle the prover is compared
+//! against.
 
 #![allow(dead_code)] // each test crate uses its own subset
 
 use pdat_repro::aig::{netlist_to_aig, AigLit, Frame, FrameEncoder, NetlistAig};
+use pdat_repro::isa::rv32::RvInstr;
 use pdat_repro::isa::RvSubset;
 use pdat_repro::mc::{
     candidates_for_netlist, simulate_filter_governed, Candidate, CandidateKind, SimFilterConfig,
@@ -31,6 +33,43 @@ pub fn keyed_design() -> Netlist {
     let out = nl.add_cell(CellKind::Mux2, &[decoy, t, key], "out");
     nl.add_output("y", out);
     nl
+}
+
+/// A 32-bit instruction port driving one exact-pattern detector and one
+/// sticky "ever seen" latch (`<instr>_sticky`, output `saw_<instr>`) per
+/// watched instruction. Removing a watched instruction from the subset
+/// makes its detector and latch provably constant-false, so the proved
+/// set genuinely varies with the environment.
+pub fn detector_core(watched: &[RvInstr]) -> (Netlist, Vec<NetId>) {
+    let mut nl = Netlist::new("rvdet");
+    let port: Vec<NetId> = (0..32).map(|b| nl.add_input(format!("i{b}"))).collect();
+    for instr in watched {
+        let p = instr.pattern();
+        let tag = format!("{instr:?}").to_lowercase();
+        let mut acc: Option<NetId> = None;
+        for (b, &pin) in port.iter().enumerate() {
+            if p.mask >> b & 1 == 0 {
+                continue;
+            }
+            let bit = if p.value >> b & 1 == 1 {
+                pin
+            } else {
+                nl.add_cell(CellKind::Inv, &[pin], format!("{tag}_n{b}"))
+            };
+            acc = Some(match acc {
+                None => bit,
+                Some(a) => nl.add_cell(CellKind::And2, &[a, bit], format!("{tag}_a{b}")),
+            });
+        }
+        let det = acc.expect("pattern has masked bits");
+        let fb = nl.add_net(format!("{tag}_fb"));
+        let q = nl.add_dff(fb, false, format!("{tag}_seen"));
+        let sticky = nl.add_cell(CellKind::Or2, &[q, det], format!("{tag}_sticky"));
+        nl.assign_alias(fb, sticky);
+        nl.add_output(format!("saw_{tag}"), sticky);
+    }
+    nl.validate().expect("fixture netlist valid");
+    (nl, port)
 }
 
 /// The prover's inputs, as the pipeline hands them over.

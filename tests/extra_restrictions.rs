@@ -7,10 +7,9 @@ use pdat_repro::cores::build_ibex;
 use pdat_repro::isa::RvSubset;
 use pdat_repro::netlist::{CellKind, NetId, Netlist, Simulator};
 use pdat_repro::{
-    run_pdat, run_pdat_batch, run_pdat_cached, BatchRequest, Candidate, CandidateKind,
-    ConstraintMode, Environment, ExtraRestriction, Governor, OwnedEnvironment, PdatConfig,
-    PdatError, PdatResult, PdatService, PreparedNetlist, ProofCache, Reply, ServeConfig,
-    ServeRequest,
+    run_pdat, run_pdat_cached, run_pdat_prepared, Candidate, CandidateKind, ConstraintMode,
+    Environment, ExtraRestriction, Governor, OwnedEnvironment, PdatConfig, PdatError, PdatResult,
+    PdatService, PreparedNetlist, ProofCache, Reply, ServeConfig, ServeRequest,
 };
 use std::borrow::Cow;
 
@@ -312,38 +311,32 @@ fn out_of_range_port_net_is_a_typed_error() {
 fn batch_isolates_a_request_with_an_unknown_extra_net() {
     let (nl, _) = tiny_core();
     let bad = unknown_net(&nl);
-    let request = |extras: Vec<ExtraRestriction>| BatchRequest {
-        env: Environment::Unconstrained,
-        extras,
-    };
-    let requests = [
-        request(Vec::new()),
-        request(vec![ExtraRestriction::PinnedInput {
-            nets: vec![bad],
-            value: 0,
-        }]),
-        request(Vec::new()),
-    ];
+    // Requests in sequence on one prepared netlist and one cache: the
+    // malformed one returns its error, the next one still answers.
     let cache = ProofCache::new();
     let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
-    let slots = run_pdat_batch(
-        &prepared,
-        &requests,
-        &fast_config(),
-        &Governor::unlimited(),
-        &cache,
-    );
-    assert_eq!(slots.len(), 3);
+    let run = |extras: &[ExtraRestriction]| {
+        run_pdat_prepared(
+            &prepared,
+            &Environment::Unconstrained,
+            extras,
+            &fast_config(),
+            &Governor::unlimited(),
+            &cache,
+        )
+    };
+    let first = run(&[]).expect("well-formed request");
+    let bad_extra = [ExtraRestriction::PinnedInput {
+        nets: vec![bad],
+        value: 0,
+    }];
     assert_eq!(
-        slots[1].as_ref().err(),
-        Some(&PdatError::UnknownNet { net: bad }),
-        "the malformed request fails in its own slot"
+        run(&bad_extra).err(),
+        Some(PdatError::UnknownNet { net: bad }),
+        "the malformed request returns its own error"
     );
-    let good: Vec<_> = [&slots[0], &slots[2]]
-        .into_iter()
-        .map(|r| r.as_ref().expect("well-formed batch-mate survives"))
-        .collect();
-    assert_eq!(good[0].proved, good[1].proved);
+    let next = run(&[]).expect("the next request still answers");
+    assert_eq!(first.proved, next.proved);
 }
 
 #[test]

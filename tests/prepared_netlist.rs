@@ -9,9 +9,9 @@ use pdat_repro::isa::rv32::RvInstr;
 use pdat_repro::isa::RvSubset;
 use pdat_repro::netlist::{CellKind, NetId, Netlist, ValidateError};
 use pdat_repro::{
-    run_pdat, run_pdat_batch, run_pdat_cached, BatchRequest, CandidateId, ConstraintMode,
-    DegradationEvent, Environment, Governor, PdatConfig, PdatError, PdatService, PreparedNetlist,
-    ProofCache, ServeConfig,
+    run_pdat, run_pdat_cached, run_pdat_prepared, CandidateId, ConstraintMode, DegradationEvent,
+    Environment, Governor, PdatConfig, PdatError, PdatService, PreparedNetlist, ProofCache,
+    ServeConfig,
 };
 use std::borrow::Cow;
 use std::sync::Barrier;
@@ -165,7 +165,7 @@ fn request<'a>(
     subset: &'a RvSubset,
     inputs: &[Vec<NetId>],
     regs: &[Vec<NetId>],
-) -> BatchRequest<'a> {
+) -> Environment<'a> {
     let (ports, mode) = match k {
         0 | 4 => (inputs.to_vec(), ConstraintMode::PortBased),
         1 => (regs.to_vec(), ConstraintMode::CutpointBased),
@@ -176,13 +176,10 @@ fn request<'a>(
             ConstraintMode::CutpointBased,
         ),
     };
-    BatchRequest {
-        env: Environment::Rv {
-            subset,
-            ports,
-            mode,
-        },
-        extras: Vec::new(),
+    Environment::Rv {
+        subset,
+        ports,
+        mode,
     }
 }
 
@@ -190,11 +187,16 @@ fn request<'a>(
 const SEQUENCE: [usize; 7] = [0, 1, 2, 3, 4, 3, 1];
 
 /// One request on `prepared`, through its own fresh cache.
-fn answer(prepared: &PreparedNetlist<'_>, req: BatchRequest<'_>) -> Answer {
+fn answer(prepared: &PreparedNetlist<'_>, env: Environment<'_>) -> Answer {
     let cache = ProofCache::new();
-    let slot = run_pdat_batch(prepared, &[req], &config(), &Governor::unlimited(), &cache)
-        .pop()
-        .expect("one slot per request");
+    let slot = run_pdat_prepared(
+        prepared,
+        &env,
+        &[],
+        &config(),
+        &Governor::unlimited(),
+        &cache,
+    );
     slot.map(|report| {
         let res = report.result.expect("a fresh cache solves the request");
         (

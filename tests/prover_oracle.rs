@@ -13,8 +13,8 @@ use pdat_repro::cores::build_ibex;
 use pdat_repro::isa::RvSubset;
 use pdat_repro::mc::{houdini_prove_warm_governed, Candidate, CandidateKind, HoudiniConfig};
 use pdat_repro::{
-    run_pdat, run_pdat_batch, BatchRequest, ConstraintMode, Environment, Governor, GovernorConfig,
-    PdatConfig, PreparedNetlist, ProofCache, ProveConfig,
+    run_pdat, run_pdat_prepared, ConstraintMode, Environment, Governor, GovernorConfig, PdatConfig,
+    PreparedNetlist, ProofCache, ProveConfig,
 };
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -139,20 +139,17 @@ fn coi_prover_matches_full_encoding_bit_identical_on_keyed_design() {
     let oracle = assert_prover_matches_plain_houdini(&p, "keyed");
     assert_eq!(named(&oracle), golden, "plain Houdini diverged from golden");
 
-    let request = [BatchRequest {
-        env: Environment::Unconstrained,
-        extras: Vec::new(),
-    }];
     let prepared = PreparedNetlist::new(Cow::Borrowed(&nl)).expect("valid netlist");
-    let res = run_pdat_batch(
+    let res = run_pdat_prepared(
         &prepared,
-        &request,
+        &Environment::Unconstrained,
+        &[],
         &prover_config(),
         &armed_governor(),
         &ProofCache::new(),
     )
-    .pop()
-    .and_then(|slot| slot.expect("valid request").result)
+    .expect("valid request")
+    .result
     .expect("a fresh cache solves the request");
     assert!(
         res.degradations.is_empty(),

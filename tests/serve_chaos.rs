@@ -12,9 +12,12 @@
 //! Nothing in between: a fault may cost a retry, never change an
 //! answer, and never wedge, crash, or corrupt the snapshot on disk.
 
+mod common;
+
+use common::detector_core;
 use pdat_repro::isa::rv32::RvInstr;
 use pdat_repro::isa::RvSubset;
-use pdat_repro::netlist::{CellKind, NetId, Netlist};
+use pdat_repro::netlist::NetId;
 use pdat_repro::{
     load_cache_or_quarantine, run_pdat_cached, save_cache_with_faults, CandidateId, ConstraintMode,
     Environment, FaultPlan, LoadOutcome, OwnedEnvironment, PdatConfig, PdatError, PdatService,
@@ -42,41 +45,9 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Two exact-pattern detectors + sticky latches on a 32-bit instruction
-/// port (a lighter cut of the `cache_soundness` fixture), plus one
-/// internal net for building a malformed request.
-fn detector_core() -> (Netlist, Vec<NetId>, NetId) {
-    let mut nl = Netlist::new("rvdet2");
-    let port: Vec<NetId> = (0..32).map(|b| nl.add_input(&format!("i{b}"))).collect();
-    let mut internal = port[0];
-    for instr in [RvInstr::Add, RvInstr::Jalr] {
-        let p = instr.pattern();
-        let tag = format!("{instr:?}").to_lowercase();
-        let mut acc: Option<NetId> = None;
-        for b in 0..32 {
-            if p.mask >> b & 1 == 0 {
-                continue;
-            }
-            let bit = if p.value >> b & 1 == 1 {
-                port[b]
-            } else {
-                nl.add_cell(CellKind::Inv, &[port[b]], &format!("{tag}_n{b}"))
-            };
-            acc = Some(match acc {
-                None => bit,
-                Some(a) => nl.add_cell(CellKind::And2, &[a, bit], &format!("{tag}_a{b}")),
-            });
-        }
-        let det = acc.expect("pattern has masked bits");
-        let fb = nl.add_net(&format!("{tag}_fb"));
-        let q = nl.add_dff(fb, false, &format!("{tag}_seen"));
-        let sticky = nl.add_cell(CellKind::Or2, &[q, det], &format!("{tag}_sticky"));
-        nl.assign_alias(fb, sticky);
-        nl.add_output(&format!("saw_{tag}"), sticky);
-        internal = sticky;
-    }
-    (nl, port, internal)
-}
+/// The detector fixture watching Add and Jalr: two detectors with
+/// sticky latches, a lighter cut of the `cache_soundness` one.
+const WATCHED: [RvInstr; 2] = [RvInstr::Add, RvInstr::Jalr];
 
 fn base_config() -> PdatConfig {
     PdatConfig {
@@ -113,7 +84,7 @@ fn request_for(slot: usize, port: &[NetId]) -> ServeRequest {
 fn oracles() -> &'static Vec<Vec<CandidateId>> {
     static ORACLES: OnceLock<Vec<Vec<CandidateId>>> = OnceLock::new();
     ORACLES.get_or_init(|| {
-        let (nl, port, _) = detector_core();
+        let (nl, port) = detector_core(&WATCHED);
         subsets()
             .iter()
             .map(|s| {
@@ -141,7 +112,9 @@ proptest! {
         fault_seed in any::<u64>(),
         sched_seed in any::<u64>(),
     ) {
-        let (nl, port, internal) = detector_core();
+        let (nl, port) = detector_core(&WATCHED);
+        // An internal net, for building a malformed request.
+        let internal = nl.find_net("jalr_sticky").expect("fixture net");
         let oracle = oracles();
         let plan = FaultPlan::from_seed(fault_seed);
         let replies = quietly(|| {
@@ -218,7 +191,7 @@ fn corrupt_snapshot_is_quarantined_and_replaced() {
     let path = dir.join("cache.txt");
     std::fs::write(&path, "pdat-proof-cache v1\nrun zz zz\n").expect("write corrupt file");
 
-    let (nl, port, _) = detector_core();
+    let (nl, port) = detector_core(&WATCHED);
     let service = PdatService::start(
         nl.clone(),
         ServeConfig {
@@ -270,7 +243,7 @@ fn interrupted_checkpoint_never_corrupts_the_snapshot() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("cache.txt");
 
-    let (nl, port, _) = detector_core();
+    let (nl, port) = detector_core(&WATCHED);
     // Populate a one-entry cache through the pipeline and snapshot it.
     let old = ProofCache::new();
     let env0 = Environment::Rv {
