@@ -244,10 +244,10 @@ struct Inner {
 ///
 /// Cloning is cheap (one `Arc`); all clones observe the same budgets and
 /// counters, which is what lets one governor span the SAT solver, the
-/// parallel falsification workers, and the resynthesis loop at once.
-/// Checks are lock-free atomics: the hot paths (SAT propagation loop,
-/// sim chunk cycle boundary) pay a relaxed load and a branch when no
-/// budget is armed.
+/// falsifier and the resynthesis loop of a run, and lets another thread
+/// cancel it. Checks are lock-free atomics: the hot paths (each SAT
+/// conflict, each sim chunk cycle boundary) pay a few relaxed atomic
+/// operations, plus a clock read when a deadline is armed.
 #[derive(Debug, Clone)]
 pub struct Governor {
     inner: Arc<Inner>,

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 gate: release build + full test suite, fully offline.
+# Tier-1 gate: release build + full test suite, then the formatting and
+# lint checks, fully offline.
 #
 # The workspace has no registry dependencies — rand/proptest are vendored
 # shims under vendor/ (see vendor/README.md) — so the build must
@@ -10,8 +11,10 @@
 #
 # The root Cargo.toml's `default-members` cover the root package and every
 # crate, and crates/bench/tests/gates.rs runs the panic lint and the
-# fault/cache/serve smoke binaries, so the plain Tier-1 command below is the
-# whole gate.
+# fault/cache/serve smoke binaries, so the plain Tier-1 command below runs
+# every test. After it, `cargo fmt --check` holds the workspace to rustfmt's
+# layout and clippy fails on any warning (perfbench is its own workspace and
+# is not covered).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -19,3 +22,5 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release
 cargo test -q
+cargo fmt --all --check
+cargo clippy --workspace --all-targets -- -D warnings
