@@ -565,6 +565,16 @@ mod tests {
     use super::*;
     use crate::cache::ProofCache;
 
+    /// A fresh directory of this test's own: two concurrent test runs
+    /// (say, of two checkouts) must not touch each other's snapshots.
+    fn test_dir(test: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("pdat_cache_io_test_{}_{test}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::create_dir_all(&dir);
+        dir
+    }
+
     fn sample_run() -> CachedRun {
         CachedRun {
             env: CanonicalEnv::canonicalize(
@@ -634,8 +644,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_entries() {
-        let dir = std::env::temp_dir().join("pdat_cache_io_test");
-        let _ = fs::create_dir_all(&dir);
+        let dir = test_dir("roundtrip");
         let path = dir.join("roundtrip.pdatcache");
 
         let cache = ProofCache::new();
@@ -649,13 +658,12 @@ mod tests {
             crate::cache::CacheLookup::Exact(r) => assert_eq!(*r, sample_run()),
             other => panic!("expected exact hit after reload, got {other:?}"),
         }
-        let _ = fs::remove_file(&path);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_files_error_without_panicking() {
-        let dir = std::env::temp_dir().join("pdat_cache_io_test");
-        let _ = fs::create_dir_all(&dir);
+        let dir = test_dir("corrupt");
         let path = dir.join("corrupt.pdatcache");
         let cache = ProofCache::new();
 
@@ -681,7 +689,7 @@ mod tests {
         let tampered = text.replacen("form 0", "form 1", 1);
         let _ = fs::write(&path, tampered);
         assert!(load_cache(&cache, &path).is_err(), "tampered env rejected");
-        let _ = fs::remove_file(&path);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -693,8 +701,7 @@ mod tests {
 
     #[test]
     fn save_is_atomic_and_leaves_no_tmp() {
-        let dir = std::env::temp_dir().join("pdat_cache_io_test");
-        let _ = fs::create_dir_all(&dir);
+        let dir = test_dir("atomic");
         let path = dir.join("atomic.pdatcache");
         let cache = ProofCache::new();
         cache.insert(7, sample_run());
@@ -702,13 +709,12 @@ mod tests {
         assert!(!suffixed_path(&path, ".tmp").exists(), "tmp renamed away");
         let loaded = ProofCache::new();
         assert_eq!(load_cache(&loaded, &path).ok(), Some(1));
-        let _ = fs::remove_file(&path);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn interrupted_save_never_corrupts_the_previous_snapshot() {
-        let dir = std::env::temp_dir().join("pdat_cache_io_test");
-        let _ = fs::create_dir_all(&dir);
+        let dir = test_dir("torn");
         let path = dir.join("torn.pdatcache");
         let cache = ProofCache::new();
         cache.insert(1, sample_run());
@@ -748,17 +754,14 @@ mod tests {
         assert!(!suffixed_path(&path, ".tmp").exists());
         let reloaded = ProofCache::new();
         assert_eq!(load_cache(&reloaded, &path).ok(), Some(2));
-        let _ = fs::remove_file(&path);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn quarantine_loader_survives_missing_and_corrupt_files() {
-        let dir = std::env::temp_dir().join("pdat_cache_io_test");
-        let _ = fs::create_dir_all(&dir);
+        let dir = test_dir("boot");
         let path = dir.join("boot.pdatcache");
         let quarantine = suffixed_path(&path, ".quarantine");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&quarantine);
 
         // Missing file: cold start, no error.
         let cache = ProofCache::new();
@@ -803,7 +806,6 @@ mod tests {
             other => panic!("expected Loaded(1), got {other:?}"),
         }
         assert_eq!(cache.len(), 1);
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&quarantine);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

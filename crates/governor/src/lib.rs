@@ -162,8 +162,8 @@ impl FaultPlan {
             && self.deadline_fuse.is_none()
     }
 
-    /// Derive a deterministic plan from a seed (used by the smoke harness
-    /// and property tests; the same seed always yields the same plan).
+    /// Derive a deterministic plan from a seed (used by the fault-injection
+    /// and service chaos tests; the same seed always yields the same plan).
     /// The first two arms derive from the same seed words as before the
     /// service arms existed, so historical pipeline-level schedules are
     /// reproduced bit-for-bit by the same seeds.
@@ -203,8 +203,9 @@ impl FaultPlan {
 }
 
 /// SplitMix64 step — the crate is dependency-free, so the tiny mixer is
-/// inlined here (the same function the vendored `rand` exposes).
-fn splitmix64(state: &mut u64) -> u64 {
+/// inlined here (the same function the vendored `rand` exposes). Also the
+/// service's backoff jitter source.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

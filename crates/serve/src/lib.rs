@@ -1,18 +1,18 @@
-//! # pdat-serve — a supervised, deadline-governed PDAT service
+//! # pdat-serve — a resident, deadline-governed PDAT service
 //!
 //! `pdat::run_pdat_prepared` answers one request of a prepared netlist
 //! through a proof cache; this crate keeps a PDAT instance *resident*: one
 //! long-running service owns one `pdat::PreparedNetlist` and one shared
 //! proof cache, sends each admitted request through that entry, and
-//! answers subset requests over time, surviving worker crashes,
+//! answers subset requests over time, surviving panicking attempts,
 //! per-request deadline blowouts, and interrupted cache saves.
 //!
 //! The dependency-free service loop is three pieces:
 //!
 //! * a bounded, admission-controlled MPSC work queue (private; its
 //!   behaviour surfaces as [`SubmitError::Overloaded`]),
-//! * [`PdatService`] — the worker pool, supervisor, and checkpointer
-//!   (its module docs spell out the full fault model),
+//! * [`PdatService`] — the worker pool and the checkpointer (its module
+//!   docs spell out the full fault model),
 //! * [`Reply`] — the typed outcome lattice. The service-level soundness
 //!   contract mirrors the pipeline's (paper §VII-C): a [`Reply::Done`]
 //!   is bit-identical to an unfaulted oracle run; every fault path ends

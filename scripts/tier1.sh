@@ -10,9 +10,8 @@
 # vendor a shim or gate the feature instead.
 #
 # The root Cargo.toml's `default-members` cover the root package and every
-# crate, and crates/bench/tests/gates.rs runs the panic lint and the
-# fault/cache/serve smoke binaries, so the plain Tier-1 command below runs
-# every test. After it, `cargo fmt --check` holds the workspace to rustfmt's
+# crate, and crates/bench/tests/gates.rs runs the panic lint, so the plain
+# Tier-1 command below runs every test. After it, `cargo fmt --check` holds the workspace to rustfmt's
 # layout and clippy fails on any warning (perfbench is its own workspace and
 # is not covered).
 set -eu

@@ -24,8 +24,8 @@ use pdat_repro::isa::rv32::RvInstr;
 use pdat_repro::isa::RvSubset;
 use pdat_repro::netlist::{NetId, Netlist};
 use pdat_repro::{
-    run_pdat_cached, run_pdat_prepared, CacheEffect, ConstraintMode, Environment, Governor,
-    PdatConfig, PreparedNetlist, ProofCache, SubsetReport,
+    load_cache, run_pdat_cached, run_pdat_prepared, save_cache, CacheEffect, ConstraintMode,
+    Environment, Governor, PdatConfig, PreparedNetlist, ProofCache, SubsetReport,
 };
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -225,4 +225,45 @@ fn detector_fixture_is_subset_sensitive() {
         restricted.proved.len(),
         base.proved.len()
     );
+}
+
+/// A saved and reloaded cache answers both a cached request and its
+/// warm-started descendant as exact hits with their cold proved sets:
+/// the fingerprint the loader re-derives matches the one the pipeline
+/// computes for the request, so persistence loses no entry.
+#[test]
+fn reloaded_snapshot_answers_exact_hits_with_the_cold_sets() {
+    let (nl, port) = detector_core(&WATCHED);
+    let config = base_config();
+    let full = RvSubset::rv32i();
+    let mut no_addsub = RvSubset::rv32i();
+    no_addsub.instrs.remove(&RvInstr::Add);
+    no_addsub.instrs.remove(&RvInstr::Sub);
+    no_addsub.name = "no-addsub".to_string();
+
+    let cache = ProofCache::new();
+    for s in [&full, &no_addsub] {
+        run_pdat_cached(&nl, &port_env(s, &port), &[], &config, &cache).expect("warm-up run");
+    }
+    let dir = std::env::temp_dir().join(format!("pdat_cache_soundness_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("cache.txt");
+    save_cache(&cache, &path).expect("save");
+    let reloaded = ProofCache::new();
+    let loaded = load_cache(&reloaded, &path).expect("load");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(loaded, cache.len(), "every entry survives the round trip");
+
+    for s in [&full, &no_addsub] {
+        let env = port_env(s, &port);
+        let replay = run_pdat_cached(&nl, &env, &[], &config, &reloaded).expect("replay");
+        assert!(
+            matches!(replay.cache, CacheEffect::ExactHit),
+            "{}: reloaded cache answered {:?}",
+            s.name,
+            replay.cache
+        );
+        assert!(replay.result.is_none(), "an exact hit solves nothing");
+        assert_eq!(replay.proved, cold(&nl, &env, &config).proved, "{}", s.name);
+    }
 }

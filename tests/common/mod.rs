@@ -17,6 +17,7 @@ use pdat_repro::{rv_constraint, Governor, InstrConstraint, PdatConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// The keyed-design fixture: a key DFF stuck at 1 gates a mux between
 /// the real function `t = a & b` and a decoy. PDAT proves the key
@@ -70,6 +71,19 @@ pub fn detector_core(watched: &[RvInstr]) -> (Netlist, Vec<NetId>) {
     }
     nl.validate().expect("fixture netlist valid");
     (nl, port)
+}
+
+/// Run `f` with the default panic hook silenced: injected panics would
+/// otherwise spray backtraces over the test log. The hook is
+/// process-global, so swaps are serialized.
+pub fn quietly<T>(f: impl FnOnce() -> T) -> T {
+    static HOOK: Mutex<()> = Mutex::new(());
+    let _guard = HOOK.lock().unwrap_or_else(PoisonError::into_inner);
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = f();
+    std::panic::set_hook(prev);
+    out
 }
 
 /// The prover's inputs, as the pipeline hands them over.

@@ -9,35 +9,18 @@
 
 mod common;
 
-use common::keyed_design;
+use common::{keyed_design, quietly};
 use pdat_repro::netlist::{CellKind, Netlist};
 use pdat_repro::{run_pdat, Candidate, CandidateKind, Cause, Environment, FaultPlan, PdatConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 type CandKey = (pdat_repro::netlist::NetId, CandidateKind);
 
 fn key(c: &Candidate) -> CandKey {
     (c.net, c.kind)
-}
-
-/// Serializes panic-hook swaps: injected worker panics would otherwise spray
-/// backtraces over the test log, but the hook is process-global state.
-fn hook_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` with the default panic hook silenced.
-fn quietly<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = hook_lock().lock().unwrap();
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
 }
 
 fn config_with(fault_plan: FaultPlan) -> PdatConfig {

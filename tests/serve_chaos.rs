@@ -14,36 +14,20 @@
 
 mod common;
 
-use common::detector_core;
+use common::{detector_core, quietly};
 use pdat_repro::isa::rv32::RvInstr;
 use pdat_repro::isa::RvSubset;
 use pdat_repro::netlist::NetId;
 use pdat_repro::{
     load_cache_or_quarantine, run_pdat_cached, save_cache_with_faults, CandidateId, ConstraintMode,
     Environment, FaultPlan, LoadOutcome, OwnedEnvironment, PdatConfig, PdatError, PdatService,
-    ProofCache, Reply, ServeConfig, ServeRequest,
+    ProofCache, Reply, ServeConfig, ServeRequest, ServiceStats,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::sync::{Mutex, OnceLock};
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Duration;
-
-/// Serializes panic-hook swaps: injected worker panics would otherwise
-/// spray backtraces over the test log, but the hook is process-global.
-fn hook_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` with the default panic hook silenced.
-fn quietly<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = hook_lock().lock().unwrap();
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
-}
 
 /// The detector fixture watching Add and Jalr: two detectors with
 /// sticky latches, a lighter cut of the `cache_soundness` one.
@@ -101,34 +85,54 @@ fn oracles() -> &'static Vec<Vec<CandidateId>> {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+/// A fresh directory for one test, unique to this process.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pdat_serve_chaos_{name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
 
-    /// For any (fault schedule, scheduling seed): every reply is Done
-    /// with the oracle's exact proved set, or the malformed request's
-    /// typed rejection. The pool survives whatever the plan injects.
-    #[test]
-    fn every_reply_is_oracle_exact_or_a_typed_error(
-        fault_seed in any::<u64>(),
-        sched_seed in any::<u64>(),
-    ) {
-        let (nl, port) = detector_core(&WATCHED);
-        // An internal net, for building a malformed request.
-        let internal = nl.find_net("jalr_sticky").expect("fixture net");
-        let oracle = oracles();
-        let plan = FaultPlan::from_seed(fault_seed);
-        let replies = quietly(|| {
-            let service = PdatService::start(nl, ServeConfig {
+/// One service round: boot over `cache_path` under `plan`, push eight
+/// requests (request 5 malformed) through it, shut down, and check the
+/// contract — every reply is `Done` with the oracle's exact proved set
+/// or the malformed request's typed rejection, and the snapshot left on
+/// disk loads without quarantine (or is absent, if every save was torn).
+/// The scheduling seed picks the pool size, the backoff, the backoff
+/// jitter and the checkpoint period (none, or 1–20 ms). Returns the boot
+/// and the final stats.
+fn serve_round(
+    plan: &FaultPlan,
+    sched_seed: u64,
+    cache_path: &Path,
+) -> Result<(ServiceStats, ServiceStats), TestCaseError> {
+    let (nl, port) = detector_core(&WATCHED);
+    // An internal net, for building a malformed request.
+    let internal = nl.find_net("jalr_sticky").expect("fixture net");
+    let oracle = oracles();
+    let checkpoint_every = match (sched_seed >> 16) % 21 {
+        0 => None,
+        ms => Some(Duration::from_millis(ms)),
+    };
+    let (boot, stats, replies) = quietly(|| {
+        let service = PdatService::start(
+            nl,
+            ServeConfig {
                 workers: 1 + (sched_seed % 3) as usize,
                 queue_depth: 32,
                 retry_cap: 2,
                 backoff_base: Duration::from_micros(50 + sched_seed % 200),
                 seed: sched_seed,
+                cache_path: Some(cache_path.to_path_buf()),
+                checkpoint_every,
                 fault_plan: plan.clone(),
                 pdat: base_config(),
                 ..Default::default()
-            }).expect("service boots");
-            let tickets: Vec<_> = (0..8).map(|i| {
+            },
+        )
+        .expect("service boots");
+        let boot = service.stats();
+        let tickets: Vec<_> = (0..8)
+            .map(|i| {
                 let req = if i == 5 {
                     // Constraint nets that are not free analysis
                     // variables: must answer Rejected, not sink the pool.
@@ -144,41 +148,123 @@ proptest! {
                     request_for(i % 3, &port)
                 };
                 (i, service.submit(req).expect("admission"))
-            }).collect();
-            let replies: Vec<(usize, Reply)> =
-                tickets.into_iter().map(|(i, t)| (i, t.wait())).collect();
-            let stats = service.shutdown();
-            prop_assert_eq!(stats.admitted, 8);
-            prop_assert_eq!(
-                stats.replies_done + stats.replies_rejected + stats.replies_exhausted,
-                8,
-                "every admitted request must be answered"
-            );
-            Ok(replies)
-        })?;
-        for (i, reply) in replies {
-            match reply {
-                Reply::Done(report) => {
-                    prop_assert!(i != 5, "the malformed request must not answer Done");
-                    prop_assert_eq!(
-                        &report.proved, &oracle[i % 3],
-                        "fault schedule {:?} changed request {}'s answer", plan, i
-                    );
-                }
-                Reply::Rejected(e) => {
-                    prop_assert_eq!(i, 5, "well-formed request {} rejected: {}", i, e);
-                    prop_assert!(matches!(e, PdatError::UnboundConstraintNet { .. }));
-                }
-                other => {
-                    // Fault arms are first-attempt-only and retry_cap is
-                    // 2, so exhaustion/shutdown would be a liveness bug.
-                    return Err(TestCaseError::Fail(format!(
-                        "request {i} under {plan:?} answered {other:?}"
-                    )));
-                }
+            })
+            .collect();
+        let replies: Vec<(usize, Reply)> =
+            tickets.into_iter().map(|(i, t)| (i, t.wait())).collect();
+        (boot, service.shutdown(), replies)
+    });
+    prop_assert!(!boot.cache_quarantined, "boot quarantined a snapshot");
+    prop_assert_eq!(stats.admitted, 8);
+    prop_assert_eq!(
+        stats.replies_done + stats.replies_rejected + stats.replies_exhausted,
+        8,
+        "every admitted request must be answered"
+    );
+    for (i, reply) in replies {
+        match reply {
+            Reply::Done(report) => {
+                prop_assert!(i != 5, "the malformed request must not answer Done");
+                prop_assert_eq!(
+                    &report.proved,
+                    &oracle[i % 3],
+                    "fault schedule {:?} changed request {}'s answer",
+                    plan,
+                    i
+                );
+            }
+            Reply::Rejected(e) => {
+                prop_assert_eq!(i, 5, "well-formed request {} rejected: {}", i, e);
+                prop_assert!(matches!(e, PdatError::UnboundConstraintNet { .. }));
+            }
+            other => {
+                // Fault arms are first-attempt-only and retry_cap is
+                // 2, so exhaustion/shutdown would be a liveness bug.
+                return Err(TestCaseError::Fail(format!(
+                    "request {i} under {plan:?} answered {other:?}"
+                )));
             }
         }
     }
+    // Whatever the plan did to checkpoints, the snapshot on disk reloads
+    // cleanly or is absent — never quarantined.
+    match load_cache_or_quarantine(&ProofCache::new(), cache_path) {
+        Ok(LoadOutcome::Loaded(_) | LoadOutcome::ColdStart) => {}
+        other => {
+            return Err(TestCaseError::Fail(format!(
+                "snapshot after {plan:?} did not reload cleanly: {other:?}"
+            )))
+        }
+    }
+    Ok((boot, stats))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// For any (fault schedule, scheduling seed): every reply is Done
+    /// with the oracle's exact proved set, or the malformed request's
+    /// typed rejection. The pool survives whatever the plan injects, and
+    /// the checkpointer never corrupts the snapshot.
+    #[test]
+    fn every_reply_is_oracle_exact_or_a_typed_error(
+        fault_seed in any::<u64>(),
+        sched_seed in any::<u64>(),
+    ) {
+        let dir = scratch_dir(&format!("{fault_seed:x}_{sched_seed:x}"));
+        serve_round(&FaultPlan::from_seed(fault_seed), sched_seed, &dir.join("cache.txt"))?;
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every service arm through one snapshot path, round after round: the
+/// first seeds that arm an interrupted checkpoint, a worker panic and a
+/// deadline fuse, then a clean seed. A panic is caught, an attempt is
+/// retried, a checkpoint is torn and another saves, and a later round
+/// boots warm off an earlier round's snapshot without ever quarantining
+/// it.
+#[test]
+fn every_service_arm_keeps_the_contract_on_one_snapshot() {
+    let first = |armed: fn(&FaultPlan) -> bool| {
+        (0..256u64)
+            .find(|&s| armed(&FaultPlan::from_seed(s)))
+            .expect("from_seed arms every service arm below 256")
+    };
+    let mut seeds = vec![
+        // Any save takes at least three write operations (a chunk, the
+        // fsync, the rename), so an arm below 3 tears the save it hits.
+        first(|p| p.io_fail_after_writes.is_some_and(|n| n < 3)),
+        first(|p| p.worker_panic_on_request.is_some()),
+        first(|p| p.deadline_fuse.is_some()),
+    ];
+    seeds.sort_unstable();
+    seeds.dedup();
+    seeds.push(first(FaultPlan::is_empty));
+
+    let dir = scratch_dir("arms");
+    let path = dir.join("cache.txt");
+    let mut total = ServiceStats::default();
+    let mut warm_boot = false;
+    for (round, &seed) in (0u64..).zip(&seeds) {
+        // Round r: 1 + r % 3 workers and a checkpoint every r + 1 ms.
+        let sched_seed = (round + 1) << 16 | round;
+        let (boot, stats) = serve_round(&FaultPlan::from_seed(seed), sched_seed, &path)
+            .unwrap_or_else(|e| panic!("round {round} (fault seed {seed}): {e:?}"));
+        warm_boot |= boot.cache_entries_loaded > 0;
+        total.worker_panics += stats.worker_panics;
+        total.retries += stats.retries;
+        total.checkpoints_ok += stats.checkpoints_ok;
+        total.checkpoints_failed += stats.checkpoints_failed;
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        total.worker_panics >= 1,
+        "a worker panic was injected and caught"
+    );
+    assert!(total.retries >= 1, "a faulted attempt was retried");
+    assert!(total.checkpoints_failed >= 1, "a checkpoint was torn");
+    assert!(total.checkpoints_ok >= 1, "a checkpoint saved cleanly");
+    assert!(warm_boot, "a later round booted warm off a saved snapshot");
 }
 
 /// Booting over a corrupt snapshot quarantines it (service starts cold
@@ -186,8 +272,7 @@ proptest! {
 /// loadable snapshot in its place.
 #[test]
 fn corrupt_snapshot_is_quarantined_and_replaced() {
-    let dir = std::env::temp_dir().join(format!("pdat_serve_chaos_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = scratch_dir("boot");
     let path = dir.join("cache.txt");
     std::fs::write(&path, "pdat-proof-cache v1\nrun zz zz\n").expect("write corrupt file");
 
@@ -239,8 +324,7 @@ fn corrupt_snapshot_is_quarantined_and_replaced() {
 /// die mid-save at any point without losing the cache.
 #[test]
 fn interrupted_checkpoint_never_corrupts_the_snapshot() {
-    let dir = std::env::temp_dir().join(format!("pdat_serve_chaos_io_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = scratch_dir("io");
     let path = dir.join("cache.txt");
 
     let (nl, port) = detector_core(&WATCHED);
