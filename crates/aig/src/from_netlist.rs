@@ -24,17 +24,21 @@ pub struct NetlistAig {
 /// Primary inputs become AIG inputs; DFFs become latches whose next-state
 /// function is the AIG literal of their D net; every combinational cell is
 /// expanded into AND/NOT structure. Rewiring assignments (const/alias) are
-/// honored: a net tied to a constant converts to the constant literal.
+/// honored: a net tied to a constant converts to the constant literal, and
+/// an alias-driven net reads its [`Netlist::alias_root`].
 ///
 /// `cut_nets` lists nets to treat as *cutpoints*: their true drivers are
 /// ignored and a fresh AIG input is created instead, exactly as the paper's
 /// cutpoint-based constraints do (Fig. 4). Cutting a net makes analysis
 /// conservative-or-constrainable: the checker may later constrain the free
-/// variable.
+/// variable. A cut replaces the cut net's own driver only: a net aliased to
+/// an alias-driven cut net still reads the chain's root, so cut the
+/// cell-driven net the chain ends at (the cores' cutpoints are named
+/// buffers).
 ///
 /// # Panics
 ///
-/// Panics if the netlist has a combinational cycle; run
+/// Panics if the netlist has a combinational or alias cycle; run
 /// [`Netlist::validate`] first.
 pub fn netlist_to_aig(nl: &Netlist, cut_nets: &[NetId]) -> NetlistAig {
     let mut aig = Aig::new();
@@ -70,14 +74,10 @@ pub fn netlist_to_aig(nl: &Netlist, cut_nets: &[NetId]) -> NetlistAig {
     }
     // Constant/alias-driven nets are resolved lazily below.
 
-    // Combinational cells in topological order.
-    let order = comb_topo_order(nl);
-    for ci in order {
-        let cid = CellId(ci);
+    // Combinational cells in the netlist's evaluation order.
+    let order = nl.comb_order().unwrap_or_else(|e| panic!("{e}"));
+    for cid in order {
         let c = nl.cell(cid);
-        if c.kind.is_sequential() {
-            continue;
-        }
         if net_lit.contains_key(&c.output) {
             continue; // cut or already mapped
         }
@@ -126,7 +126,10 @@ fn resolve(
     let l = match nl.driver(net) {
         Driver::Const(true) => AigLit::TRUE,
         Driver::Const(false) => AigLit::FALSE,
-        Driver::Alias(src) => resolve(nl, src, aig, net_lit),
+        Driver::Alias(_) => match nl.alias_root(net) {
+            Ok(root) => resolve(nl, root, aig, net_lit),
+            Err(e) => panic!("{e}"),
+        },
         Driver::None => AigLit::FALSE, // floating nets read as 0
         Driver::Input => {
             // Input not yet mapped (can't happen: mapped above), be safe.
@@ -173,64 +176,6 @@ pub(crate) fn build_cell(aig: &mut Aig, kind: CellKind, ins: &[AigLit]) -> AigLi
         CellKind::Tie1 => AigLit::TRUE,
         CellKind::Dff => unreachable!("sequential cell in combinational expansion"),
     }
-}
-
-/// Topological order of combinational cells (same contract as the netlist
-/// simulator's ordering).
-fn comb_topo_order(nl: &Netlist) -> Vec<u32> {
-    let num = nl.num_cells();
-    let mut comb_driver: Vec<Option<u32>> = vec![None; nl.num_nets()];
-    for (cid, c) in nl.cells() {
-        if !c.kind.is_sequential() && nl.driver(c.output) == Driver::Cell(cid) {
-            comb_driver[c.output.index()] = Some(cid.0);
-        }
-    }
-    let resolve_net = |mut n: NetId| -> Option<u32> {
-        let mut hops = 0;
-        loop {
-            match nl.driver(n) {
-                Driver::Alias(s) => {
-                    n = s;
-                    hops += 1;
-                    assert!(hops <= nl.num_nets(), "alias cycle");
-                }
-                _ => return comb_driver[n.index()],
-            }
-        }
-    };
-    let mut order = Vec::with_capacity(num);
-    let mut mark = vec![0u8; num];
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    for start in 0..num as u32 {
-        let c = nl.cell(CellId(start));
-        if c.kind.is_sequential() || mark[start as usize] != 0 {
-            continue;
-        }
-        stack.push((start, 0));
-        mark[start as usize] = 1;
-        while let Some(&mut (cur, ref mut pin)) = stack.last_mut() {
-            let cell = nl.cell(CellId(cur));
-            if *pin < cell.inputs.len() {
-                let p = *pin;
-                *pin += 1;
-                if let Some(dep) = resolve_net(cell.inputs[p]) {
-                    match mark[dep as usize] {
-                        0 => {
-                            mark[dep as usize] = 1;
-                            stack.push((dep, 0));
-                        }
-                        1 => panic!("combinational cycle"),
-                        _ => {}
-                    }
-                }
-            } else {
-                mark[cur as usize] = 2;
-                order.push(cur);
-                stack.pop();
-            }
-        }
-    }
-    order
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use pdat_mc::{
     CandidateId, CandidateKind, HoudiniConfig, HoudiniStats, ProveConfig, SimFilterConfig,
     SimFilterStats,
 };
-use pdat_netlist::{Driver, NetId, Netlist, NetlistStats, ParseNetlistError, ValidateError};
+use pdat_netlist::{NetId, Netlist, NetlistStats, ParseNetlistError, ValidateError};
 use pdat_synth::resynthesize_governed;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -817,36 +817,14 @@ fn apply_rewirings(nl: &mut Netlist, proved: &[Candidate]) {
         }
     }
     for c in proved {
-        if let CandidateKind::EqualNet(src) = c.kind {
-            if done.contains(&c.net) {
-                continue;
-            }
-            // Reject aliases that would close a loop through existing
-            // alias chains.
-            let mut cur = src;
-            let mut hops = 0;
-            let mut cycle = false;
-            loop {
-                if cur == c.net {
-                    cycle = true;
-                    break;
-                }
-                match nl.driver(cur) {
-                    Driver::Alias(next) => {
-                        cur = next;
-                        hops += 1;
-                        if hops > nl.num_nets() {
-                            cycle = true;
-                            break;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            if !cycle {
-                done.insert(c.net);
-                nl.assign_alias(c.net, src);
-            }
+        let CandidateKind::EqualNet(src) = c.kind else {
+            continue;
+        };
+        // Reject aliases that would close a loop through existing alias
+        // chains. An unrewired candidate net is cell-driven, so that happens
+        // exactly when `src`'s chain ends at it (or already loops).
+        if matches!(nl.alias_root(src), Ok(root) if root != c.net) && done.insert(c.net) {
+            nl.assign_alias(c.net, src);
         }
     }
 }

@@ -164,9 +164,13 @@ impl FaultPlan {
 
     /// Derive a deterministic plan from a seed (used by the fault-injection
     /// and service chaos tests; the same seed always yields the same plan).
-    /// The first two arms derive from the same seed words as before the
-    /// service arms existed, so historical pipeline-level schedules are
-    /// reproduced bit-for-bit by the same seeds.
+    /// Each arm is armed by its own seed word's low bit, and every armed
+    /// value can fire: the sim panic targets chunk 0, the only chunk under
+    /// the default `lane_blocks`, and the io fault lands within a save's
+    /// first three write operations (every save writes at least a chunk,
+    /// the fsync and the rename). A seed keeps the solver arm and the
+    /// sim-panic cycle it drew in earlier versions; the sim-panic chunk and
+    /// the io value changed.
     pub fn from_seed(seed: u64) -> FaultPlan {
         let mut s = seed;
         let a = splitmix64(&mut s);
@@ -181,11 +185,11 @@ impl FaultPlan {
                 None
             },
             sim_panic_at: if b & 1 == 1 {
-                Some((b >> 1 & 0x3, b >> 3 & 0x1F))
+                Some((0, b >> 3 & 0x1F))
             } else {
                 None
             },
-            io_fail_after_writes: if c & 1 == 1 { Some(c >> 1 & 0x7) } else { None },
+            io_fail_after_writes: if c & 1 == 1 { Some((c >> 1) % 3) } else { None },
             worker_panic_on_request: if d & 1 == 1 { Some(d >> 1 & 0x7) } else { None },
             deadline_fuse: if e & 1 == 1 { Some(e >> 1 & 0x7) } else { None },
         }
@@ -450,6 +454,13 @@ mod tests {
         assert!((0..64).any(|s| FaultPlan::from_seed(s).worker_panic_on_request.is_some()));
         assert!((0..64).any(|s| FaultPlan::from_seed(s).deadline_fuse.is_some()));
         assert!((0..64).any(|s| FaultPlan::from_seed(s).is_empty()));
+        // Every armed value can fire: chunk 0 always exists, and every
+        // save takes at least three write operations.
+        for seed in 0..64u64 {
+            let plan = FaultPlan::from_seed(seed);
+            assert!(plan.sim_panic_at.is_none_or(|(chunk, _)| chunk == 0));
+            assert!(plan.io_fail_after_writes.is_none_or(|n| n < 3));
+        }
     }
 
     #[test]

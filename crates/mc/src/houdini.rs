@@ -44,6 +44,7 @@
 //! governor's separate preprocessing meter, never to the conflict budget.
 
 use crate::candidates::{Candidate, CandidateId, CandidateKind};
+use crate::sim_filter::panic_message;
 use pdat_aig::{Aig, AigLit, ConeEncoder, FrameEncoder, NetlistAig};
 use pdat_governor::{Cause, DegradationEvent, Governor, Stage};
 use pdat_sat::{Lit, SolveResult, Solver, Var};
@@ -326,11 +327,7 @@ pub fn houdini_prove_warm_governed(
         if let Err(payload) = run {
             // Isolate the panic: the solver state is untrusted, so drop
             // every unvetted candidate — degraded, never corrupted.
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "prover panicked".to_string());
+            let msg = panic_message(payload.as_ref()).to_string();
             ledger.drop_budget(active.iter().copied(), Cause::WorkerPanic, msg);
         }
     }

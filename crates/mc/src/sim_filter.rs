@@ -313,8 +313,9 @@ fn run_chunk(run: &Run<'_>, chunk: usize, real: usize, allowed_cycles: usize, ou
     }
 }
 
-/// Best-effort human-readable panic payload.
-fn panic_message(payload: &(dyn Any + Send)) -> &str {
+/// Best-effort human-readable panic payload (the falsifier's and the
+/// prover's panic boundaries both report through it).
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> &str {
     payload
         .downcast_ref::<&str>()
         .copied()

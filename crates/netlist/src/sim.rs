@@ -5,7 +5,7 @@
 //! instruction-set simulators, and AIG cross-checks all compare against this
 //! simulator.
 
-use crate::netlist::{Driver, NetId, Netlist};
+use crate::netlist::{CellId, Driver, NetId, Netlist};
 
 /// An event-free two-pass simulator: evaluates all combinational logic in
 /// topological order each cycle, then clocks every DFF.
@@ -31,21 +31,19 @@ pub struct Simulator<'a> {
     values: Vec<bool>,
     /// Current state (Q) of every cell slot (only meaningful for DFFs).
     state: Vec<bool>,
-    /// Cells in combinational topological order (DFF outputs and primary
-    /// inputs are sources).
-    order: Vec<u32>,
+    /// Combinational cells in [`Netlist::comb_order`].
+    order: Vec<CellId>,
 }
 
 impl<'a> Simulator<'a> {
-    /// Build a simulator; computes a topological order of the combinational
-    /// cells.
+    /// Build a simulator over the netlist's combinational order.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist has a combinational cycle (run
+    /// Panics if the netlist has a combinational or alias cycle (run
     /// [`Netlist::validate`] first for a friendlier error).
     pub fn new(nl: &'a Netlist) -> Simulator<'a> {
-        let order = topo_order(nl);
+        let order = nl.comb_order().unwrap_or_else(|e| panic!("{e}"));
         let mut sim = Simulator {
             nl,
             values: vec![false; nl.num_nets()],
@@ -70,16 +68,14 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if `net` is not a primary input.
     pub fn set_input(&mut self, net: NetId, value: bool) {
-        assert!(
-            matches!(self.nl.driver(net), Driver::Input),
-            "{} is not a primary input",
-            self.nl.net(net).name
-        );
-        self.values[net.index()] = value;
-        self.settle();
+        self.set_inputs(&[(net, value)]);
     }
 
     /// Drive several inputs at once, then settle once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a net is not a primary input.
     pub fn set_inputs(&mut self, assignments: &[(NetId, bool)]) {
         for &(net, value) in assignments {
             assert!(
@@ -108,26 +104,19 @@ impl<'a> Simulator<'a> {
                 _ => {}
             }
         }
-        for (cid, c) in self.nl.cells() {
-            if c.kind.is_sequential() {
-                if let Driver::Cell(d) = self.nl.driver(c.output) {
-                    if d == cid {
-                        self.values[c.output.index()] = self.state[cid.index()];
-                    }
-                }
+        for (cid, c) in self.nl.dffs() {
+            if self.nl.driver(c.output) == Driver::Cell(cid) {
+                self.values[c.output.index()] = self.state[cid.index()];
             }
         }
         let mut ins: Vec<bool> = Vec::with_capacity(4);
-        for &ci in &self.order {
-            let c = self.nl.cell(crate::netlist::CellId(ci));
-            if c.kind.is_sequential() {
-                continue;
-            }
+        for &cid in &self.order {
+            let c = self.nl.cell(cid);
             ins.clear();
             ins.extend(c.inputs.iter().map(|&n| self.resolve(n)));
             let out = c.kind.eval(&ins);
             // Only write if the cell still drives its output net.
-            if self.nl.driver(c.output) == Driver::Cell(crate::netlist::CellId(ci)) {
+            if self.nl.driver(c.output) == Driver::Cell(cid) {
                 self.values[c.output.index()] = out;
             }
         }
@@ -139,19 +128,12 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    fn resolve(&self, mut net: NetId) -> bool {
-        // Follow alias/const chains.
-        let mut hops = 0;
-        loop {
-            match self.nl.driver(net) {
-                Driver::Alias(src) => {
-                    net = src;
-                    hops += 1;
-                    assert!(hops <= self.nl.num_nets(), "alias cycle");
-                }
-                Driver::Const(v) => return v,
-                _ => return self.values[net.index()],
-            }
+    /// Value of the net at the end of `net`'s alias chain; after a settle
+    /// that is also the value of a const- or un-driven root.
+    fn resolve(&self, net: NetId) -> bool {
+        match self.nl.alias_root(net) {
+            Ok(root) => self.values[root.index()],
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -159,10 +141,8 @@ impl<'a> Simulator<'a> {
     /// settle the new cycle's combinational values.
     pub fn step(&mut self) {
         let mut next = self.state.clone();
-        for (cid, c) in self.nl.cells() {
-            if c.kind.is_sequential() {
-                next[cid.index()] = self.resolve(c.inputs[0]);
-            }
+        for (cid, c) in self.nl.dffs() {
+            next[cid.index()] = self.resolve(c.inputs[0]);
         }
         self.state = next;
         self.settle();
@@ -184,78 +164,6 @@ impl<'a> Simulator<'a> {
         self.state.copy_from_slice(state);
         self.settle();
     }
-}
-
-/// Topological order of combinational cells. DFFs are sinks for ordering
-/// (their outputs are sources), so they are appended last in any order.
-fn topo_order(nl: &Netlist) -> Vec<u32> {
-    let num = nl.num_cells();
-    // Map net -> driving combinational cell.
-    let mut comb_driver: Vec<Option<u32>> = vec![None; nl.num_nets()];
-    for (cid, c) in nl.cells() {
-        if !c.kind.is_sequential() {
-            if let Driver::Cell(d) = nl.driver(c.output) {
-                if d == cid {
-                    comb_driver[c.output.index()] = Some(cid.0);
-                }
-            }
-        }
-    }
-    let resolve_net = |mut n: NetId| -> Option<u32> {
-        let mut hops = 0;
-        loop {
-            match nl.driver(n) {
-                Driver::Alias(s) => {
-                    n = s;
-                    hops += 1;
-                    assert!(hops <= nl.num_nets(), "alias cycle");
-                }
-                _ => return comb_driver[n.index()],
-            }
-        }
-    };
-    let mut order = Vec::with_capacity(num);
-    let mut mark = vec![0u8; num]; // 0 = white, 1 = grey, 2 = black
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    for start in 0..num as u32 {
-        let c = nl.cell(crate::netlist::CellId(start));
-        if c.kind.is_sequential() || mark[start as usize] != 0 {
-            continue;
-        }
-        stack.push((start, 0));
-        mark[start as usize] = 1;
-        while let Some(&mut (cur, ref mut pin)) = stack.last_mut() {
-            let cell = nl.cell(crate::netlist::CellId(cur));
-            if *pin < cell.inputs.len() {
-                let p = *pin;
-                *pin += 1;
-                if let Some(dep) = resolve_net(cell.inputs[p]) {
-                    match mark[dep as usize] {
-                        0 => {
-                            mark[dep as usize] = 1;
-                            stack.push((dep, 0));
-                        }
-                        1 => panic!(
-                            "combinational cycle through cell {} ({})",
-                            dep,
-                            nl.net(nl.cell(crate::netlist::CellId(dep)).output).name
-                        ),
-                        _ => {}
-                    }
-                }
-            } else {
-                mark[cur as usize] = 2;
-                order.push(cur);
-                stack.pop();
-            }
-        }
-    }
-    for (cid, c) in nl.cells() {
-        if c.kind.is_sequential() {
-            order.push(cid.0);
-        }
-    }
-    order
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Structural well-formedness checks for netlists.
 
-use crate::netlist::{Driver, NetId, Netlist};
+use crate::netlist::{CellId, Driver, NetId, Netlist};
 use std::error::Error;
 use std::fmt;
 
@@ -63,85 +63,90 @@ impl Netlist {
                 });
             }
         }
-        // Alias cycles.
-        for (net, info) in self.nets() {
-            let mut cur = net;
-            let mut hops = 0usize;
-            while let Driver::Alias(next) = self.driver(cur) {
-                cur = next;
-                hops += 1;
-                if hops > self.num_nets() {
-                    return Err(ValidateError::AliasCycle {
-                        net: info.name.clone(),
-                    });
-                }
-            }
+        for (net, _) in self.nets() {
+            self.alias_root(net)?;
         }
-        // Combinational cycles: iterative DFS over combinational cells.
-        self.check_comb_cycles()
+        self.comb_order().map(|_| ())
     }
 
-    fn check_comb_cycles(&self) -> Result<(), ValidateError> {
-        let num = self.num_cells();
-        let mut comb_driver: Vec<Option<u32>> = vec![None; self.num_nets()];
-        for (cid, c) in self.cells() {
-            if !c.kind.is_sequential() && self.driver(c.output) == Driver::Cell(cid) {
-                comb_driver[c.output.index()] = Some(cid.0);
+    /// The net whose driver `net` carries: `net` itself unless it is
+    /// alias-driven, else the first net along its [`Driver::Alias`] chain
+    /// whose driver is not an alias. The simulator, the AIG build,
+    /// resynthesis and rewiring all read aliases through this one walk.
+    ///
+    /// # Errors
+    ///
+    /// [`ValidateError::AliasCycle`], naming `net`, if the chain loops.
+    pub fn alias_root(&self, net: NetId) -> Result<NetId, ValidateError> {
+        let mut cur = net;
+        let mut hops = 0usize;
+        while let Driver::Alias(next) = self.driver(cur) {
+            cur = next;
+            hops += 1;
+            if hops > self.num_nets() {
+                return Err(ValidateError::AliasCycle {
+                    net: self.net(net).name.clone(),
+                });
             }
         }
-        let resolve = |mut n: NetId| -> Option<u32> {
-            let mut hops = 0;
-            loop {
-                match self.driver(n) {
-                    Driver::Alias(s) => {
-                        n = s;
-                        hops += 1;
-                        if hops > self.num_nets() {
-                            return None; // alias cycle reported separately
-                        }
-                    }
-                    _ => return comb_driver[n.index()],
-                }
-            }
-        };
-        let mut mark = vec![0u8; num];
-        let mut stack: Vec<(u32, usize)> = Vec::new();
-        for start in 0..num as u32 {
-            let c = self.cell(crate::netlist::CellId(start));
-            if c.kind.is_sequential() || mark[start as usize] != 0 {
+        Ok(cur)
+    }
+
+    /// The combinational cells in evaluation order: each comes after every
+    /// combinational cell that drives one of its inputs, through aliases.
+    /// Primary inputs, constants and DFF outputs are sources; DFFs are not
+    /// listed.
+    ///
+    /// The order is the post-order of one iterative DFS that starts from
+    /// every combinational cell in index order (also from cells whose output
+    /// was rewired away) and visits inputs in pin order. The simulator, the
+    /// AIG build and resynthesis all evaluate in this order, so AIG node
+    /// numbering and resynthesized netlists depend on it exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`ValidateError::CombinationalCycle`] if combinational logic loops,
+    /// or [`ValidateError::AliasCycle`] if a cell input's alias chain does.
+    pub fn comb_order(&self) -> Result<Vec<CellId>, ValidateError> {
+        let num = self.num_cells();
+        let mut order = Vec::with_capacity(num);
+        let mut mark = vec![0u8; num]; // 0 = unvisited, 1 = on the stack, 2 = done
+        let mut stack: Vec<(CellId, usize)> = Vec::new();
+        for (start, c) in self.cells() {
+            if c.kind.is_sequential() || mark[start.index()] != 0 {
                 continue;
             }
-            stack.clear();
             stack.push((start, 0));
-            mark[start as usize] = 1;
+            mark[start.index()] = 1;
             while let Some(&mut (cur, ref mut pin)) = stack.last_mut() {
-                let cell = self.cell(crate::netlist::CellId(cur));
-                if *pin < cell.inputs.len() {
-                    let p = *pin;
-                    *pin += 1;
-                    if let Some(dep) = resolve(cell.inputs[p]) {
-                        match mark[dep as usize] {
-                            0 => {
-                                mark[dep as usize] = 1;
-                                stack.push((dep, 0));
-                            }
-                            1 => {
-                                let net = self
-                                    .net(self.cell(crate::netlist::CellId(dep)).output)
-                                    .name
-                                    .clone();
-                                return Err(ValidateError::CombinationalCycle { net });
-                            }
-                            _ => {}
-                        }
-                    }
-                } else {
-                    mark[cur as usize] = 2;
+                let Some(&input) = self.cell(cur).inputs.get(*pin) else {
+                    mark[cur.index()] = 2;
+                    order.push(cur);
                     stack.pop();
+                    continue;
+                };
+                *pin += 1;
+                let Driver::Cell(dep) = self.driver(self.alias_root(input)?) else {
+                    continue;
+                };
+                if self.cell(dep).kind.is_sequential() {
+                    continue;
+                }
+                match mark[dep.index()] {
+                    0 => {
+                        mark[dep.index()] = 1;
+                        stack.push((dep, 0));
+                    }
+                    1 => {
+                        return Err(ValidateError::CombinationalCycle {
+                            net: self.net(self.cell(dep).output).name.clone(),
+                        })
+                    }
+                    _ => {}
                 }
             }
         }
-        Ok(())
+        Ok(order)
     }
 }
 
@@ -217,5 +222,39 @@ mod tests {
             nl.validate(),
             Err(ValidateError::AliasCycle { .. })
         ));
+    }
+
+    #[test]
+    fn alias_root_follows_the_chain_and_reports_a_loop() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let x = nl.add_net("x");
+        let y = nl.add_net("y");
+        nl.assign_alias(x, y);
+        nl.assign_alias(y, a);
+        assert_eq!(nl.alias_root(x), Ok(a));
+        assert_eq!(nl.alias_root(a), Ok(a));
+        let p = nl.add_net("p");
+        let q = nl.add_net("q");
+        nl.assign_alias(p, q);
+        nl.assign_alias(q, p);
+        assert_eq!(
+            nl.alias_root(p),
+            Err(ValidateError::AliasCycle { net: "p".into() })
+        );
+    }
+
+    #[test]
+    fn comb_order_puts_drivers_first_through_aliases_and_omits_dffs() {
+        // Cell 0 reads cell 1 through an alias; the DFF (cell 2) is a source.
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let lp = nl.add_net("lp");
+        let y = nl.add_cell(CellKind::Inv, &[lp], "y");
+        let x = nl.add_cell(CellKind::Inv, &[a], "x");
+        nl.assign_alias(lp, x);
+        let q = nl.add_dff(y, false, "q");
+        nl.add_cell(CellKind::And2, &[q, y], "z");
+        assert_eq!(nl.comb_order(), Ok(vec![CellId(1), CellId(0), CellId(3)]));
     }
 }

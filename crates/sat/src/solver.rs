@@ -119,8 +119,8 @@ const LBOOL_UNDEF: u8 = 2;
 /// Watch-list entry: the clause plus a *blocker* literal (some other
 /// literal of the clause, usually the co-watched one). If the blocker is
 /// already true the clause is satisfied and the visit skips both pointer
-/// hops into clause storage — the common case during the long assumption
-/// placements and model completions incremental Houdini performs.
+/// dereferences into clause storage — the common case during the long
+/// assumption placements and model completions incremental Houdini performs.
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
     cref: ClauseRef,

@@ -119,17 +119,13 @@ fn one_pass(nl: &Netlist) -> (Netlist, bool) {
     let mut out = Netlist::new(nl.name().to_string());
     let mut sig: HashMap<NetId, Sig> = HashMap::new();
 
-    // Ports first. An input net whose driver was overridden (e.g. tied to
-    // a constant by rewiring) keeps its port but resolves to the override.
+    // Ports first. An input net whose driver was overridden by rewiring
+    // (tied to a constant or aliased) keeps its port but resolves through
+    // that driver, as the simulator and the AIG read it.
     for &i in nl.inputs() {
         let id = out.add_input(&nl.net(i).name);
-        match nl.driver(i) {
-            Driver::Const(v) => {
-                sig.insert(i, Sig::Const(v));
-            }
-            _ => {
-                sig.insert(i, Sig::Net(id));
-            }
+        if nl.driver(i) == Driver::Input {
+            sig.insert(i, Sig::Net(id));
         }
     }
 
@@ -162,12 +158,11 @@ fn one_pass(nl: &Netlist) -> (Netlist, bool) {
         }
     }
 
-    // Combinational cells in topo order, simplified and strashed.
-    let order = comb_topo_order(nl);
+    // Combinational cells in evaluation order, simplified and strashed.
+    let order = nl.comb_order().unwrap_or_else(|e| panic!("{e}"));
     let mut strash: HashMap<(CellKind, Vec<Sig>), Sig> = HashMap::new();
     let mut changed = false;
-    for ci in order {
-        let cid = pdat_netlist::CellId(ci);
+    for cid in order {
         let c = nl.cell(cid);
         if nl.driver(c.output) != Driver::Cell(cid) {
             continue; // rewired: handled through driver resolution
@@ -229,51 +224,33 @@ fn one_pass(nl: &Netlist) -> (Netlist, bool) {
     (swept, changed || removed > 0)
 }
 
-/// Follow driver chains to a constant if one exists (pre-pass view).
-fn resolve_const(nl: &Netlist, mut net: NetId) -> Option<bool> {
-    let mut hops = 0;
-    loop {
-        match nl.driver(net) {
-            Driver::Const(v) => return Some(v),
-            Driver::Alias(s) => {
-                net = s;
-                hops += 1;
-                if hops > nl.num_nets() {
-                    return None;
-                }
-            }
-            Driver::Cell(cid) => {
-                let c = nl.cell(cid);
-                return match c.kind {
-                    CellKind::Tie0 => Some(false),
-                    CellKind::Tie1 => Some(true),
-                    _ => None,
-                };
-            }
-            _ => return None,
-        }
+/// The constant a net carries through its alias chain, if any (pre-pass
+/// view).
+fn resolve_const(nl: &Netlist, net: NetId) -> Option<bool> {
+    match nl.driver(nl.alias_root(net).ok()?) {
+        Driver::Const(v) => Some(v),
+        Driver::Cell(cid) => match nl.cell(cid).kind {
+            CellKind::Tie0 => Some(false),
+            CellKind::Tie1 => Some(true),
+            _ => None,
+        },
+        _ => None,
     }
 }
 
-fn resolve(nl: &Netlist, mut net: NetId, sig: &HashMap<NetId, Sig>) -> Sig {
-    let mut hops = 0;
-    loop {
-        if let Some(&s) = sig.get(&net) {
-            return s;
-        }
-        match nl.driver(net) {
-            Driver::Const(v) => return Sig::Const(v),
-            Driver::Alias(s) => {
-                net = s;
-                hops += 1;
-                assert!(hops <= nl.num_nets(), "alias cycle");
-            }
-            Driver::None => return Sig::Const(false),
-            _ => panic!(
-                "net `{}` used before being defined (not in topo order?)",
-                nl.net(net).name
-            ),
-        }
+/// What `net` reads this pass: the signal of its alias root.
+fn resolve(nl: &Netlist, net: NetId, sig: &HashMap<NetId, Sig>) -> Sig {
+    let root = nl.alias_root(net).unwrap_or_else(|e| panic!("{e}"));
+    if let Some(&s) = sig.get(&root) {
+        return s;
+    }
+    match nl.driver(root) {
+        Driver::Const(v) => Sig::Const(v),
+        Driver::None => Sig::Const(false),
+        _ => panic!(
+            "net `{}` used before being defined (not in topo order?)",
+            nl.net(root).name
+        ),
     }
 }
 
@@ -602,66 +579,11 @@ fn sweep_dead(nl: &Netlist) -> (Netlist, usize) {
     (out, removed)
 }
 
-fn comb_topo_order(nl: &Netlist) -> Vec<u32> {
-    let num = nl.num_cells();
-    let mut comb_driver: Vec<Option<u32>> = vec![None; nl.num_nets()];
-    for (cid, c) in nl.cells() {
-        if !c.kind.is_sequential() && nl.driver(c.output) == Driver::Cell(cid) {
-            comb_driver[c.output.index()] = Some(cid.0);
-        }
-    }
-    let resolve_net = |mut n: NetId| -> Option<u32> {
-        let mut hops = 0;
-        loop {
-            match nl.driver(n) {
-                Driver::Alias(s) => {
-                    n = s;
-                    hops += 1;
-                    assert!(hops <= nl.num_nets(), "alias cycle");
-                }
-                _ => return comb_driver[n.index()],
-            }
-        }
-    };
-    let mut order = Vec::with_capacity(num);
-    let mut mark = vec![0u8; num];
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    for start in 0..num as u32 {
-        let c = nl.cell(pdat_netlist::CellId(start));
-        if c.kind.is_sequential() || mark[start as usize] != 0 {
-            continue;
-        }
-        stack.push((start, 0));
-        mark[start as usize] = 1;
-        while let Some(&mut (cur, ref mut pin)) = stack.last_mut() {
-            let cell = nl.cell(pdat_netlist::CellId(cur));
-            if *pin < cell.inputs.len() {
-                let p = *pin;
-                *pin += 1;
-                if let Some(dep) = resolve_net(cell.inputs[p]) {
-                    match mark[dep as usize] {
-                        0 => {
-                            mark[dep as usize] = 1;
-                            stack.push((dep, 0));
-                        }
-                        1 => panic!("combinational cycle"),
-                        _ => {}
-                    }
-                }
-            } else {
-                mark[cur as usize] = 2;
-                order.push(cur);
-                stack.pop();
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdat_netlist::Simulator;
+    use pdat_aig::{netlist_to_aig, AigSimulator};
+    use pdat_netlist::{parse_netlist, Simulator};
 
     /// Random-stimulus equivalence check between two netlists with the same
     /// port lists.
@@ -725,13 +647,47 @@ mod tests {
         nl.assign_alias(x, a);
         let (opt, _) = resynthesize(&nl);
         assert_eq!(opt.gate_count(), 1, "only the XOR remains");
-        assert_equivalent_on_subset(&nl, &opt);
+        assert_equivalent(&nl, &opt, 8, 0x5EED);
     }
 
-    /// For rewired netlists, equivalence only holds on executions where the
-    /// proved invariant is true; here we just check structure, so this stub
-    /// documents intent.
-    fn assert_equivalent_on_subset(_a: &Netlist, _b: &Netlist) {}
+    /// An input port whose driver a rewiring overrode (an alias or a
+    /// constant) reads through that driver, as the simulator and the AIG
+    /// read it: resynthesis keeps the port but must not treat it as free.
+    #[test]
+    fn overridden_input_port_reads_through_its_driver() {
+        for rhs in ["n:b", "1"] {
+            let text = format!(
+                "design t\ninput a\ninput b\nnet y\nassign a = {rhs}\n\
+                 gate XOR2 g0 (a, b) -> y\noutput y y\n"
+            );
+            let nl = parse_netlist(&text).unwrap();
+            let (b, y) = (nl.inputs()[1], nl.outputs()[0].1);
+            let (opt, _) = resynthesize(&nl);
+            let (opt_a, opt_b, opt_y) = (opt.inputs()[0], opt.inputs()[1], opt.outputs()[0].1);
+            let na = netlist_to_aig(&nl, &[]);
+            assert_eq!(na.aig.inputs().len(), 1, "only `b` is free");
+            let mut aig_sim = AigSimulator::new(&na.aig);
+            aig_sim.eval(&[0b10]); // lane 0: b = 0; lane 1: b = 1
+            let mut s1 = Simulator::new(&nl);
+            let mut s2 = Simulator::new(&opt);
+            for (lane, bv) in [false, true].into_iter().enumerate() {
+                s1.set_input(b, bv);
+                let want = s1.value(y);
+                assert_eq!(want, rhs == "1" && !bv, "`assign a = {rhs}`, b = {bv}");
+                let aig_y = aig_sim.lit_word(na.net_lit[&y]) >> lane & 1 == 1;
+                assert_eq!(aig_y, want, "AIG, `assign a = {rhs}`, b = {bv}");
+                // The kept port is dead: nothing driven on it reaches `y`.
+                for av in [false, true] {
+                    s2.set_inputs(&[(opt_a, av), (opt_b, bv)]);
+                    assert_eq!(
+                        s2.value(opt_y),
+                        want,
+                        "`assign a = {rhs}`, a = {av}, b = {bv}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn strash_merges_duplicates() {

@@ -217,6 +217,13 @@ proptest! {
     }
 }
 
+/// The first seed in `0..256` whose plan `armed` accepts.
+fn first_seed(armed: impl Fn(&FaultPlan) -> bool) -> u64 {
+    (0..256u64)
+        .find(|&s| armed(&FaultPlan::from_seed(s)))
+        .expect("from_seed arms every arm below 256")
+}
+
 /// Every service arm through one snapshot path, round after round: the
 /// first seeds that arm an interrupted checkpoint, a worker panic and a
 /// deadline fuse, then a clean seed. A panic is caught, an attempt is
@@ -225,21 +232,14 @@ proptest! {
 /// it.
 #[test]
 fn every_service_arm_keeps_the_contract_on_one_snapshot() {
-    let first = |armed: fn(&FaultPlan) -> bool| {
-        (0..256u64)
-            .find(|&s| armed(&FaultPlan::from_seed(s)))
-            .expect("from_seed arms every service arm below 256")
-    };
     let mut seeds = vec![
-        // Any save takes at least three write operations (a chunk, the
-        // fsync, the rename), so an arm below 3 tears the save it hits.
-        first(|p| p.io_fail_after_writes.is_some_and(|n| n < 3)),
-        first(|p| p.worker_panic_on_request.is_some()),
-        first(|p| p.deadline_fuse.is_some()),
+        first_seed(|p| p.io_fail_after_writes.is_some()),
+        first_seed(|p| p.worker_panic_on_request.is_some()),
+        first_seed(|p| p.deadline_fuse.is_some()),
     ];
     seeds.sort_unstable();
     seeds.dedup();
-    seeds.push(first(FaultPlan::is_empty));
+    seeds.push(first_seed(FaultPlan::is_empty));
 
     let dir = scratch_dir("arms");
     let path = dir.join("cache.txt");
@@ -265,6 +265,52 @@ fn every_service_arm_keeps_the_contract_on_one_snapshot() {
     assert!(total.checkpoints_failed >= 1, "a checkpoint was torn");
     assert!(total.checkpoints_ok >= 1, "a checkpoint saved cleanly");
     assert!(warm_boot, "a later round booted warm off a saved snapshot");
+}
+
+/// The pipeline arms fire only inside a solve, so each runs alone, as
+/// drawn by the first seed that arms it, on a cold snapshot of its own:
+/// the falsifier panic and the forced solver unknown each degrade a first
+/// attempt, which is retried, and every answer still matches the oracle.
+/// An unarmed round on the same fixture retries nothing, so each retry is
+/// the arm's.
+#[test]
+fn pipeline_arms_fire_on_a_cold_snapshot_and_are_retried() {
+    let dir = scratch_dir("pipeline_arms");
+    let sim = FaultPlan::from_seed(first_seed(|p| p.sim_panic_at.is_some())).sim_panic_at;
+    let solver = FaultPlan::from_seed(first_seed(|p| p.solver_unknown_after_conflicts.is_some()))
+        .solver_unknown_after_conflicts;
+    let arms = [
+        ("unarmed", FaultPlan::default()),
+        (
+            "sim_panic_at",
+            FaultPlan {
+                sim_panic_at: sim,
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "solver_unknown_after_conflicts",
+            FaultPlan {
+                solver_unknown_after_conflicts: solver,
+                ..FaultPlan::default()
+            },
+        ),
+    ];
+    for (round, (name, plan)) in (0u64..).zip(arms) {
+        let path = dir.join(format!("{name}.txt"));
+        let (boot, stats) =
+            serve_round(&plan, round, &path).unwrap_or_else(|e| panic!("{name} ({plan:?}): {e:?}"));
+        assert_eq!(boot.cache_entries_loaded, 0, "{name} boots cold");
+        if plan.is_empty() {
+            assert_eq!(stats.retries, 0, "a clean round retried: {stats:?}");
+        } else {
+            assert!(
+                stats.retries >= 1,
+                "{name} ({plan:?}) never fired: {stats:?}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Booting over a corrupt snapshot quarantines it (service starts cold
