@@ -6,14 +6,15 @@
 //! * `special` — Reduced Addressing / Safety Critical / No Parallelism /
 //!   Aligned / RiSC-16.
 
-use pdat_bench::{ibex_variant_rows, paper_config, render_rows, write_csv};
+use pdat::PdatConfig;
+use pdat_bench::{ibex_variant_rows, render_rows, write_csv};
 use pdat_isa::RvSubset;
 use pdat_workloads::{mibench_rv_all, mibench_rv_subset, BenchGroup};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let which = args.get(1).map(String::as_str).unwrap_or("all");
-    let config = paper_config();
+    let config = PdatConfig::default();
 
     if which == "all" || which == "isa" {
         let subsets = vec![

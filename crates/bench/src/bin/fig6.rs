@@ -1,12 +1,13 @@
 //! Regenerates the paper's Fig. 6: PDAT on the obfuscated Cortex-M0
 //! netlist with port-based constraints.
 
-use pdat_bench::{m0_variant_rows, paper_config, render_rows, write_csv};
+use pdat::PdatConfig;
+use pdat_bench::{m0_variant_rows, render_rows, write_csv};
 use pdat_isa::ThumbSubset;
 use pdat_workloads::{mibench_thumb_all, mibench_thumb_subset, BenchGroup};
 
 fn main() {
-    let config = paper_config();
+    let config = PdatConfig::default();
     let subsets = vec![
         ThumbSubset::armv6m(),
         mibench_thumb_subset(BenchGroup::Networking),

@@ -1,14 +1,15 @@
 //! Regenerates the paper's Fig. 7: PDAT scalability on the ~100k-gate
 //! RIDECORE-class out-of-order core (port-based constraints).
 
+use pdat::PdatConfig;
 use pdat_bench::{
-    paper_config, render_rows, restrict_to_ridecore, ridecore_isa, ridecore_variant_rows, write_csv,
+    render_rows, restrict_to_ridecore, ridecore_isa, ridecore_variant_rows, write_csv,
 };
 use pdat_isa::RvSubset;
 use pdat_workloads::mibench_rv_all;
 
 fn main() {
-    let config = paper_config();
+    let config = PdatConfig::default();
     let subsets = vec![
         ridecore_isa(), // the paper's "RIDECORE ISA" full-ISA PDAT run
         RvSubset::rv32i(),

@@ -2,7 +2,7 @@
 //! the `table1`, `table2`, `fig5`, `fig6`, and `fig7` binaries (one per
 //! table/figure in the paper's evaluation).
 
-use pdat::{run_pdat, ConstraintMode, Environment, PdatConfig, PdatResult};
+use pdat::{run_pdat, ConstraintMode, Environment, PdatConfig};
 use pdat_cores::{build_cortexm0, build_ibex, build_ridecore, obfuscate, ObfuscateConfig};
 use pdat_isa::rv32::RvInstr;
 use pdat_isa::{RvSubset, ThumbSubset};
@@ -76,87 +76,34 @@ pub fn write_csv(file: &str, rows: &[VariantRow]) -> std::io::Result<std::path::
     Ok(path)
 }
 
-fn row_from_result(name: &str, full: &VariantRow, res: &PdatResult, secs: f64) -> VariantRow {
-    VariantRow {
-        name: name.to_string(),
-        gates: res.optimized.gate_count,
-        area_um2: res.optimized.area_um2,
-        gate_red: 1.0 - res.optimized.gate_count as f64 / full.gates as f64,
-        area_red: 1.0 - res.optimized.area_um2 / full.area_um2,
-        proved: res.proved,
-        seconds: secs,
-    }
-}
-
-/// The analysis configuration used by the figure binaries.
-pub fn paper_config() -> PdatConfig {
-    PdatConfig::default()
-}
-
 /// Run PDAT on the Ibex-class core for the named RV32 subsets
 /// (cutpoint-based constraints, as in the paper). The first returned row is
 /// "Full" (plain synthesis, no PDAT).
 pub fn ibex_variant_rows(subsets: &[RvSubset], config: &PdatConfig) -> Vec<VariantRow> {
     let core = build_ibex();
-    rv_variant_rows(
-        &core.netlist,
-        vec![core.cut_fetch.clone()],
-        ConstraintMode::CutpointBased,
-        subsets,
-        config,
-    )
+    let envs = subsets.iter().map(|subset| {
+        let env = Environment::Rv {
+            subset,
+            ports: vec![core.cut_fetch.clone()],
+            mode: ConstraintMode::CutpointBased,
+        };
+        (subset.name.as_str(), env)
+    });
+    variant_rows(&core.netlist, envs, config)
 }
 
 /// Run PDAT on the RIDECORE-class core (port-based constraints).
 pub fn ridecore_variant_rows(subsets: &[RvSubset], config: &PdatConfig) -> Vec<VariantRow> {
     let core = build_ridecore();
-    rv_variant_rows(
-        &core.netlist,
-        vec![core.instr_in[0].clone(), core.instr_in[1].clone()],
-        ConstraintMode::PortBased,
-        subsets,
-        config,
-    )
-}
-
-fn rv_variant_rows(
-    netlist: &Netlist,
-    ports: Vec<Vec<NetId>>,
-    mode: ConstraintMode,
-    subsets: &[RvSubset],
-    config: &PdatConfig,
-) -> Vec<VariantRow> {
-    let (full_nl, _) = pdat_synth::resynthesize(netlist);
-    let full = VariantRow {
-        name: "Full".into(),
-        gates: full_nl.gate_count(),
-        area_um2: full_nl.area(),
-        gate_red: 0.0,
-        area_red: 0.0,
-        proved: 0,
-        seconds: 0.0,
-    };
-    let mut rows = vec![full.clone()];
-    for subset in subsets {
-        let t = Instant::now();
-        let res = run_pdat(
-            netlist,
-            &Environment::Rv {
-                subset,
-                ports: ports.clone(),
-                mode,
-            },
-            config,
-        )
-        .expect("pdat run");
-        rows.push(row_from_result(
-            &subset.name,
-            &full,
-            &res,
-            t.elapsed().as_secs_f64(),
-        ));
-    }
-    rows
+    let envs = subsets.iter().map(|subset| {
+        let env = Environment::Rv {
+            subset,
+            ports: vec![core.instr_in[0].clone(), core.instr_in[1].clone()],
+            mode: ConstraintMode::PortBased,
+        };
+        (subset.name.as_str(), env)
+    });
+    variant_rows(&core.netlist, envs, config)
 }
 
 /// Run PDAT on the Cortex-M0-class core for Thumb subsets. When
@@ -175,35 +122,50 @@ pub fn m0_variant_rows(
     } else {
         (core.netlist.clone(), core.instr_in.clone())
     };
-    let (full_nl, _) = pdat_synth::resynthesize(&netlist);
-    let full = VariantRow {
-        name: "Full".into(),
-        gates: full_nl.gate_count(),
-        area_um2: full_nl.area(),
-        gate_red: 0.0,
-        area_red: 0.0,
-        proved: 0,
-        seconds: 0.0,
-    };
-    let mut rows = vec![full.clone()];
-    for subset in subsets {
+    let envs = subsets.iter().map(|subset| {
+        let env = Environment::Thumb {
+            subset,
+            port: port.clone(),
+            mode: ConstraintMode::PortBased,
+        };
+        (subset.name.as_str(), env)
+    });
+    variant_rows(&netlist, envs, config)
+}
+
+/// One cold [`run_pdat`] per named environment, each timed on its own.
+/// The first row is "Full": the baseline statistics of the first run (no
+/// rows at all when `envs` is empty).
+fn variant_rows<'a>(
+    netlist: &Netlist,
+    envs: impl IntoIterator<Item = (&'a str, Environment<'a>)>,
+    config: &PdatConfig,
+) -> Vec<VariantRow> {
+    let mut rows = Vec::new();
+    for (name, env) in envs {
         let t = Instant::now();
-        let res = run_pdat(
-            &netlist,
-            &Environment::Thumb {
-                subset,
-                port: port.clone(),
-                mode: ConstraintMode::PortBased,
-            },
-            config,
-        )
-        .expect("pdat run");
-        rows.push(row_from_result(
-            &subset.name,
-            &full,
-            &res,
-            t.elapsed().as_secs_f64(),
-        ));
+        let res = run_pdat(netlist, &env, config).expect("pdat run");
+        let seconds = t.elapsed().as_secs_f64();
+        if rows.is_empty() {
+            rows.push(VariantRow {
+                name: "Full".into(),
+                gates: res.baseline.gate_count,
+                area_um2: res.baseline.area_um2,
+                gate_red: 0.0,
+                area_red: 0.0,
+                proved: 0,
+                seconds: 0.0,
+            });
+        }
+        rows.push(VariantRow {
+            name: name.to_string(),
+            gates: res.optimized.gate_count,
+            area_um2: res.optimized.area_um2,
+            gate_red: res.gate_reduction(),
+            area_red: res.area_reduction(),
+            proved: res.proved,
+            seconds,
+        });
     }
     rows
 }

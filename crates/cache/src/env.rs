@@ -99,7 +99,7 @@ pub enum EnvMode {
 }
 
 impl EnvMode {
-    fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             EnvMode::Unconstrained => 0,
             EnvMode::RvPort => 1,

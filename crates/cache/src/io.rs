@@ -203,7 +203,7 @@ fn render_cache(cache: &ProofCache) -> String {
             "run {netlist_fp:016x} {:016x}\n",
             run.env.fingerprint()
         ));
-        out.push_str(&format!("mode {}\n", mode_tag(run.env.mode)));
+        out.push_str(&format!("mode {}\n", run.env.mode.tag()));
         for p in &run.env.ports {
             out.push_str("port");
             for n in p {
@@ -258,16 +258,6 @@ fn render_cache(cache: &ProofCache) -> String {
         out.push_str("end\n");
     }
     out
-}
-
-fn mode_tag(m: EnvMode) -> u8 {
-    match m {
-        EnvMode::Unconstrained => 0,
-        EnvMode::RvPort => 1,
-        EnvMode::RvCut => 2,
-        EnvMode::ThumbPort => 3,
-        EnvMode::ThumbCut => 4,
-    }
 }
 
 struct Parser<'a> {

@@ -15,37 +15,41 @@
 //! ADD/MOV/CMP, ADR and SP-relative adds. Barriers, hints, and system forms
 //! (MRS/MSR/CPS) execute as no-ops; SVC/BKPT/UDF raise the fault output.
 
+use crate::harness::{CorePorts, GateCore, PortNames};
 use pdat_isa::armv6m::ThumbInstr;
 use pdat_netlist::{NetId, Netlist};
 use pdat_rtl::{RtlBuilder, Word};
 
 /// Handles to the generated Cortex-M0-class core.
+///
+/// The core retires the two halfwords of a `BL` separately, so a program
+/// strobes `retire_o` once more per executed `BL` than the instruction-set
+/// simulator counts retired instructions.
 #[derive(Debug, Clone)]
 pub struct CortexM0Core {
     /// The gate-level netlist.
     pub netlist: Netlist,
-    /// Instruction fetch halfword inputs (16 bits).
+    /// Instruction fetch halfword inputs (16 bits); the same nets as
+    /// `ports.fetch`.
     pub instr_in: Vec<NetId>,
-    /// Load data inputs.
-    pub data_rdata_in: Vec<NetId>,
-    /// Fetch address outputs.
-    pub instr_addr_out: Vec<NetId>,
-    /// Retire strobe.
-    pub retire_out: NetId,
-    /// Fault strobe (SVC/BKPT/UDF or unknown encoding executed).
-    pub fault_out: NetId,
     /// The fetch→decode register input nets (cutpoint location).
     pub cut_fetch: Vec<NetId>,
-    /// Register nets r0..r15 (r15 is the EX-stage pc view).
-    pub regs: Vec<Vec<NetId>>,
-    /// Data port nets for the harness.
-    pub data_addr_out: Vec<NetId>,
-    /// Store data nets.
-    pub data_wdata_out: Vec<NetId>,
-    /// Byte enable nets.
-    pub data_be_out: Vec<NetId>,
-    /// Store strobe.
-    pub data_we_out: NetId,
+    /// The memory, retire and register ports the harness drives. The core
+    /// has no retire-pc port, and its registers are r0..r14: the EX-stage
+    /// pc view (r15) has no port.
+    pub ports: CorePorts,
+    /// Fault strobe (SVC/BKPT/UDF or unknown encoding executed).
+    pub fault_out: NetId,
+}
+
+impl GateCore for CortexM0Core {
+    fn netlist(&self) -> &Netlist {
+        &self.netlist
+    }
+
+    fn ports(&self) -> &CorePorts {
+        &self.ports
+    }
 }
 
 /// Generate the core.
@@ -1252,85 +1256,28 @@ pub fn build_cortexm0() -> CortexM0Core {
         b.output_word(&format!("r{r}_o"), reg);
     }
 
-    let cut_fetch = fd_d.bits().to_vec();
-    let regs_nets: Vec<Vec<NetId>> = regs.iter().map(|w| w.bits().to_vec()).collect();
-    let core = CortexM0Core {
-        instr_in: instr_i.bits().to_vec(),
-        data_rdata_in: data_rdata.bits().to_vec(),
-        instr_addr_out: pc_f.bits().to_vec(),
-        retire_out: exec_v,
-        fault_out: fault,
-        cut_fetch,
-        regs: regs_nets,
-        data_addr_out: word_addr.bits().to_vec(),
-        data_wdata_out: store_data.bits().to_vec(),
-        data_be_out: be_gated.bits().to_vec(),
-        data_we_out: data_we,
-        netlist: b.finish(),
-    };
-    core
+    CortexM0Core {
+        cut_fetch: fd_d.bits().to_vec(),
+        ..rebind_cortexm0(b.finish())
+    }
 }
 
 /// Re-derive a [`CortexM0Core`] handle from a transformed netlist via the
-/// preserved port names (counterpart of [`crate::rebind_ibex`]).
+/// preserved port names, as [`crate::rebind_ibex`] does for the Ibex-class
+/// core.
 ///
 /// # Panics
 ///
 /// Panics if the netlist does not expose the Cortex-M0-class port set.
 pub fn rebind_cortexm0(netlist: Netlist) -> CortexM0Core {
-    let input_word = |nl: &Netlist, name: &str, w: usize| -> Vec<NetId> {
-        (0..w)
-            .map(|i| {
-                nl.find_net(&format!("{name}[{i}]"))
-                    .unwrap_or_else(|| panic!("missing input {name}[{i}]"))
-            })
-            .collect()
-    };
-    let outputs: std::collections::HashMap<String, NetId> = netlist
-        .outputs()
-        .iter()
-        .map(|(n, id)| (n.clone(), *id))
-        .collect();
-    let output_word = |name: &str, w: usize| -> Vec<NetId> {
-        (0..w)
-            .map(|i| {
-                *outputs
-                    .get(&format!("{name}[{i}]"))
-                    .unwrap_or_else(|| panic!("missing output {name}[{i}]"))
-            })
-            .collect()
-    };
-    let output_bit = |name: &str| -> NetId {
-        *outputs
-            .get(name)
-            .unwrap_or_else(|| panic!("missing output {name}"))
-    };
-    let instr_in = input_word(&netlist, "instr_i", 16);
-    let data_rdata_in = input_word(&netlist, "data_rdata_i", 32);
-    let instr_addr_out = output_word("instr_addr_o", 32);
-    let data_addr_out = output_word("data_addr_o", 32);
-    let data_wdata_out = output_word("data_wdata_o", 32);
-    let data_be_out = output_word("data_be_o", 4);
-    let data_we_out = output_bit("data_we_o");
-    let retire_out = output_bit("retire_o");
-    let fault_out = output_bit("fault_o");
-    let mut regs: Vec<Vec<NetId>> = Vec::with_capacity(16);
-    for r in 0..15 {
-        regs.push(output_word(&format!("r{r}_o"), 32));
-    }
-    regs.push(output_word("r0_o", 32)); // r15 placeholder (unused by harness)
+    let names = PortNames::new(&netlist);
+    let ports = names.ports((0..15).map(|r| format!("r{r}_o")));
+    let fault_out = names.bit("fault_o");
     CortexM0Core {
-        netlist,
-        instr_in,
-        data_rdata_in,
-        instr_addr_out,
-        retire_out,
-        fault_out,
+        instr_in: ports.fetch.clone(),
         cut_fetch: Vec::new(),
-        regs,
-        data_addr_out,
-        data_wdata_out,
-        data_be_out,
-        data_we_out,
+        ports,
+        fault_out,
+        netlist,
     }
 }

@@ -1,30 +1,132 @@
 //! A gate-level execution harness: drives a generated core netlist with
 //! byte-addressable instruction/data memories ("magic" single-cycle
 //! memories, matching the cores' combinational memory ports).
+//!
+//! The Ibex-class and the Cortex-M0-class cores expose the same memory,
+//! retire and register ports under the same names, so one binder finds
+//! them and one harness runs both.
 
-use crate::ibex::IbexCore;
-use pdat_netlist::{NetId, Simulator};
+use pdat_netlist::{NetId, Netlist, Simulator};
+use std::collections::HashMap;
 
-/// Runs an [`IbexCore`] netlist against in-memory program and data images.
+/// The ports a core shares with the other harnessed cores, LSB first. A
+/// port the core does not have is an empty word and reads 0.
+#[derive(Debug, Clone)]
+pub struct CorePorts {
+    /// Fetch inputs `instr_i`: 32 bits on the Ibex-class core, 16 on the M0.
+    pub fetch: Vec<NetId>,
+    /// Fetch address `instr_addr_o`.
+    pub fetch_addr: Vec<NetId>,
+    /// Load data inputs `data_rdata_i`.
+    pub load_data: Vec<NetId>,
+    /// Data address `data_addr_o`.
+    pub data_addr: Vec<NetId>,
+    /// Store data `data_wdata_o`.
+    pub store_data: Vec<NetId>,
+    /// Byte enables `data_be_o`.
+    pub byte_enables: Vec<NetId>,
+    /// Store strobe `data_we_o`.
+    pub store: NetId,
+    /// Retire strobe `retire_o` (one instruction completed this cycle).
+    pub retire: NetId,
+    /// PC of the retiring instruction, `retire_pc_o`.
+    pub retire_pc: Vec<NetId>,
+    /// Architectural registers, one output word each.
+    pub regs: Vec<Vec<NetId>>,
+}
+
+/// A netlist's primary inputs and outputs by port name: the one binder
+/// behind every core's port handles.
+pub(crate) struct PortNames<'n>(HashMap<&'n str, NetId>);
+
+impl<'n> PortNames<'n> {
+    pub(crate) fn new(netlist: &'n Netlist) -> PortNames<'n> {
+        let inputs = netlist
+            .inputs()
+            .iter()
+            .map(|&id| (netlist.net(id).name.as_str(), id));
+        let outputs = netlist
+            .outputs()
+            .iter()
+            .map(|(name, id)| (name.as_str(), *id));
+        PortNames(inputs.chain(outputs).collect())
+    }
+
+    /// The word `name[0]`, `name[1]`, … up to the first missing bit.
+    fn word(&self, name: &str) -> Vec<NetId> {
+        (0..)
+            .map_while(|i| self.0.get(format!("{name}[{i}]").as_str()).copied())
+            .collect()
+    }
+
+    /// The one-bit port `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has no such port.
+    pub(crate) fn bit(&self, name: &str) -> NetId {
+        *self
+            .0
+            .get(name)
+            .unwrap_or_else(|| panic!("missing port {name}"))
+    }
+
+    /// The shared port set; `regs` names each register's output word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a memory port or a strobe is missing. The retire pc and
+    /// the registers may be absent.
+    pub(crate) fn ports(&self, regs: impl IntoIterator<Item = String>) -> CorePorts {
+        let required = |name: &str| {
+            let word = self.word(name);
+            assert!(!word.is_empty(), "missing port {name}");
+            word
+        };
+        CorePorts {
+            fetch: required("instr_i"),
+            fetch_addr: required("instr_addr_o"),
+            load_data: required("data_rdata_i"),
+            data_addr: required("data_addr_o"),
+            store_data: required("data_wdata_o"),
+            byte_enables: required("data_be_o"),
+            store: self.bit("data_we_o"),
+            retire: self.bit("retire_o"),
+            retire_pc: self.word("retire_pc_o"),
+            regs: regs.into_iter().map(|r| self.word(&r)).collect(),
+        }
+    }
+}
+
+/// A generated core the [`CoreHarness`] can run.
+pub trait GateCore {
+    /// The gate-level netlist.
+    fn netlist(&self) -> &Netlist;
+    /// Its shared memory, retire and register ports.
+    fn ports(&self) -> &CorePorts;
+}
+
+/// Runs a core netlist against in-memory program and data images.
 #[derive(Debug)]
 pub struct CoreHarness<'a> {
-    core: &'a IbexCore,
+    ports: &'a CorePorts,
     sim: Simulator<'a>,
     /// Instruction memory image (byte addressed from 0).
     pub imem: Vec<u8>,
     /// Data memory image (byte addressed from 0).
     pub dmem: Vec<u8>,
-    /// Retire trace: `(pc, cycle)` per retired instruction.
+    /// Retire trace: `(pc, cycle)` per retired instruction. The pc is 0 on
+    /// a core without a retire-pc port.
     pub retires: Vec<(u32, u64)>,
     cycle: u64,
 }
 
 impl<'a> CoreHarness<'a> {
     /// Create a harness with the given program image and data memory size.
-    pub fn new(core: &'a IbexCore, program: &[u8], dmem_size: usize) -> CoreHarness<'a> {
+    pub fn new(core: &'a impl GateCore, program: &[u8], dmem_size: usize) -> CoreHarness<'a> {
         CoreHarness {
-            core,
-            sim: Simulator::new(&core.netlist),
+            ports: core.ports(),
+            sim: Simulator::new(core.netlist()),
             imem: program.to_vec(),
             dmem: vec![0; dmem_size],
             retires: Vec::new(),
@@ -39,76 +141,51 @@ impl<'a> CoreHarness<'a> {
             .sum()
     }
 
-    fn fetch(&self, addr: u32) -> u32 {
-        let mut w = 0u32;
-        for i in 0..4 {
-            let a = addr.wrapping_add(i) as usize;
-            let byte = if a < self.imem.len() { self.imem[a] } else { 0 };
-            w |= (byte as u32) << (8 * i);
-        }
-        w
+    fn drive(&mut self, nets: &[NetId], value: u32) {
+        let assigns: Vec<(NetId, bool)> = nets
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (n, value >> i & 1 == 1))
+            .collect();
+        self.sim.set_inputs(&assigns);
     }
 
-    /// Architectural register value (x0..x31).
+    /// Architectural register `r`; 0 if the core has no port for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is past the core's register file.
     pub fn reg(&self, r: usize) -> u32 {
-        if r == 0 {
-            return 0;
-        }
-        self.read_word(&self.core.regs[r])
-    }
-
-    /// Read a little-endian word from data memory.
-    pub fn dmem_word(&self, addr: usize) -> u32 {
-        u32::from_le_bytes(self.dmem[addr..addr + 4].try_into().unwrap())
+        self.read_word(&self.ports.regs[r])
     }
 
     /// Advance one clock cycle; services instruction fetch, load data, and
     /// store commits.
     pub fn step(&mut self) {
+        let ports = self.ports;
         // 1. Present the instruction at the current fetch address.
-        let pc = self.read_word(&self.core.instr_addr_out);
-        let word = self.fetch(pc);
-        let assigns: Vec<(NetId, bool)> = self
-            .core
-            .instr_in
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, word >> i & 1 == 1))
-            .collect();
-        self.sim.set_inputs(&assigns);
+        let pc = self.read_word(&ports.fetch_addr);
+        let fetch_bytes = ports.fetch.len().div_ceil(8);
+        self.drive(&ports.fetch, read_le(&self.imem, pc, fetch_bytes));
 
         // 2. Service a load: present the addressed word on data_rdata.
-        let daddr = self.read_word(&self.core.data_addr_out) as usize;
-        let rdata = if daddr + 4 <= self.dmem.len() {
-            self.dmem_word(daddr)
-        } else {
-            0
-        };
-        let assigns: Vec<(NetId, bool)> = self
-            .core
-            .data_rdata_in
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, rdata >> i & 1 == 1))
-            .collect();
-        self.sim.set_inputs(&assigns);
+        let daddr = self.read_word(&ports.data_addr);
+        self.drive(&ports.load_data, read_le(&self.dmem, daddr, 4));
 
         // 3. Commit a store if strobed.
-        if self.sim.value(self.core.data_we_out) {
-            let wdata = self.read_word(&self.core.data_wdata_out);
-            for (i, &ben) in self.core.data_be_out.iter().enumerate() {
-                if self.sim.value(ben) {
-                    let a = daddr + i;
-                    if a < self.dmem.len() {
-                        self.dmem[a] = (wdata >> (8 * i)) as u8;
-                    }
+        if self.sim.value(ports.store) {
+            let wdata = self.read_word(&ports.store_data);
+            for (i, &ben) in ports.byte_enables.iter().enumerate() {
+                let a = daddr as usize + i;
+                if self.sim.value(ben) && a < self.dmem.len() {
+                    self.dmem[a] = (wdata >> (8 * i)) as u8;
                 }
             }
         }
 
         // 4. Record retirement.
-        if self.sim.value(self.core.retire_out) {
-            let rpc = self.read_word(&self.core.retire_pc_out);
+        if self.sim.value(ports.retire) {
+            let rpc = self.read_word(&ports.retire_pc);
             self.retires.push((rpc, self.cycle));
         }
 
@@ -131,6 +208,17 @@ impl<'a> CoreHarness<'a> {
     pub fn cycles(&self) -> u64 {
         self.cycle
     }
+}
+
+/// The little-endian value of `bytes` bytes of `mem` from `addr` on; bytes
+/// past the end of `mem` read 0.
+fn read_le(mem: &[u8], addr: u32, bytes: usize) -> u32 {
+    (0..bytes)
+        .map(|i| {
+            let a = addr.wrapping_add(i as u32) as usize;
+            (mem.get(a).copied().unwrap_or(0) as u32) << (8 * i)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -389,121 +477,6 @@ mod tests {
     }
 }
 
-/// Runs a [`crate::CortexM0Core`] netlist against program/data images.
-#[derive(Debug)]
-pub struct ThumbHarness<'a> {
-    core: &'a crate::cortexm0::CortexM0Core,
-    sim: Simulator<'a>,
-    /// Instruction memory (byte addressed from 0).
-    pub imem: Vec<u8>,
-    /// Data memory (byte addressed from 0).
-    pub dmem: Vec<u8>,
-    /// Retired-instruction count.
-    pub retired: usize,
-    cycle: u64,
-}
-
-impl<'a> ThumbHarness<'a> {
-    /// Create a harness over the core.
-    pub fn new(
-        core: &'a crate::cortexm0::CortexM0Core,
-        program: &[u8],
-        dmem_size: usize,
-    ) -> ThumbHarness<'a> {
-        ThumbHarness {
-            core,
-            sim: Simulator::new(&core.netlist),
-            imem: program.to_vec(),
-            dmem: vec![0; dmem_size],
-            retired: 0,
-            cycle: 0,
-        }
-    }
-
-    fn read_word(&self, nets: &[NetId]) -> u32 {
-        nets.iter()
-            .enumerate()
-            .map(|(i, &n)| (self.sim.value(n) as u32) << i)
-            .sum()
-    }
-
-    /// Architectural register r0..r14.
-    pub fn reg(&self, r: usize) -> u32 {
-        self.read_word(&self.core.regs[r])
-    }
-
-    /// Little-endian data memory word.
-    pub fn dmem_word(&self, addr: usize) -> u32 {
-        u32::from_le_bytes(self.dmem[addr..addr + 4].try_into().unwrap())
-    }
-
-    /// Advance one cycle.
-    pub fn step(&mut self) {
-        let pc = self.read_word(&self.core.instr_addr_out);
-        let mut hw = 0u16;
-        for i in 0..2 {
-            let a = pc.wrapping_add(i) as usize;
-            if a < self.imem.len() {
-                hw |= (self.imem[a] as u16) << (8 * i);
-            }
-        }
-        let assigns: Vec<(NetId, bool)> = self
-            .core
-            .instr_in
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, hw >> i & 1 == 1))
-            .collect();
-        self.sim.set_inputs(&assigns);
-
-        let daddr = self.read_word(&self.core.data_addr_out) as usize;
-        let rdata = if daddr + 4 <= self.dmem.len() {
-            self.dmem_word(daddr)
-        } else {
-            0
-        };
-        let assigns: Vec<(NetId, bool)> = self
-            .core
-            .data_rdata_in
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, rdata >> i & 1 == 1))
-            .collect();
-        self.sim.set_inputs(&assigns);
-
-        if self.sim.value(self.core.data_we_out) {
-            let wdata = self.read_word(&self.core.data_wdata_out);
-            for (i, &ben) in self.core.data_be_out.iter().enumerate() {
-                if self.sim.value(ben) {
-                    let a = daddr + i;
-                    if a < self.dmem.len() {
-                        self.dmem[a] = (wdata >> (8 * i)) as u8;
-                    }
-                }
-            }
-        }
-
-        if self.sim.value(self.core.retire_out) {
-            self.retired += 1;
-        }
-        self.sim.step();
-        self.cycle += 1;
-    }
-
-    /// Run until `n` retires or `max_cycles`.
-    pub fn run_until_retires(&mut self, n: usize, max_cycles: u64) -> usize {
-        while self.retired < n && self.cycle < max_cycles {
-            self.step();
-        }
-        self.retired
-    }
-
-    /// Cycles elapsed.
-    pub fn cycles(&self) -> u64 {
-        self.cycle
-    }
-}
-
 #[cfg(test)]
 mod m0_tests {
     use super::*;
@@ -519,7 +492,7 @@ mod m0_tests {
     fn run(program: Vec<u8>, retires: usize, max_cycles: u64) -> (M0State, usize) {
         let core = build_cortexm0();
         core.netlist.validate().expect("m0 netlist valid");
-        let mut h = ThumbHarness::new(&core, &program, 4096);
+        let mut h = CoreHarness::new(&core, &program, 4096);
         let n = h.run_until_retires(retires, max_cycles);
         let regs = (0..15).map(|r| h.reg(r)).collect();
         (

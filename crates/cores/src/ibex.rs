@@ -18,6 +18,7 @@
 //! run programs on it in lockstep with the instruction-set simulator.
 
 use crate::expander::build_expander;
+use crate::harness::{CorePorts, GateCore, PortNames};
 use pdat_isa::rv32::RvInstr;
 use pdat_netlist::{NetId, Netlist};
 use pdat_rtl::{RtlBuilder, Word};
@@ -27,31 +28,27 @@ use pdat_rtl::{RtlBuilder, Word};
 pub struct IbexCore {
     /// The gate-level netlist.
     pub netlist: Netlist,
-    /// Instruction fetch word (primary inputs, LSB first).
+    /// Instruction fetch word (primary inputs, LSB first); the same nets
+    /// as `ports.fetch`.
     pub instr_in: Vec<NetId>,
-    /// Load data (primary inputs).
-    pub data_rdata_in: Vec<NetId>,
-    /// Fetch address output nets.
-    pub instr_addr_out: Vec<NetId>,
-    /// Data address output nets.
-    pub data_addr_out: Vec<NetId>,
-    /// Store data output nets.
-    pub data_wdata_out: Vec<NetId>,
-    /// Byte enables.
-    pub data_be_out: Vec<NetId>,
-    /// Store strobe.
-    pub data_we_out: NetId,
-    /// Retire strobe (one instruction completed this cycle).
-    pub retire_out: NetId,
-    /// PC of the retiring instruction.
-    pub retire_pc_out: Vec<NetId>,
-    /// Trap strobe.
-    pub trap_out: NetId,
     /// The fetch-decode pipeline register *input* nets — the paper's
     /// cutpoint location (Fig. 4).
     pub cut_fetch: Vec<NetId>,
-    /// Architectural register file nets (x0..x31), for lockstep checking.
-    pub regs: Vec<Vec<NetId>>,
+    /// The memory, retire and register ports the harness drives. x0 has no
+    /// port: its word is empty and reads 0.
+    pub ports: CorePorts,
+    /// Trap strobe.
+    pub trap_out: NetId,
+}
+
+impl GateCore for IbexCore {
+    fn netlist(&self) -> &Netlist {
+        &self.netlist
+    }
+
+    fn ports(&self) -> &CorePorts {
+        &self.ports
+    }
 }
 
 /// Generate the core.
@@ -811,31 +808,9 @@ pub fn build_ibex() -> IbexCore {
         b.output_word(&format!("x{r}_o"), reg);
     }
 
-    let cut_fetch = fd_d.bits().to_vec();
-    let regs_nets: Vec<Vec<NetId>> = regs.iter().map(|w| w.bits().to_vec()).collect();
-    let instr_in = instr_i.bits().to_vec();
-    let data_rdata_in = data_rdata.bits().to_vec();
-    let instr_addr_out = pc_f.bits().to_vec();
-    let data_addr_out = word_addr.bits().to_vec();
-    let data_wdata_out = store_data.bits().to_vec();
-    let data_be_out = be_gated.bits().to_vec();
-    let retire_pc_out = pipe_pc.bits().to_vec();
-
-    let netlist = b.finish();
     IbexCore {
-        netlist,
-        instr_in,
-        data_rdata_in,
-        instr_addr_out,
-        data_addr_out,
-        data_wdata_out,
-        data_be_out,
-        data_we_out: data_we,
-        retire_out: exec_v,
-        retire_pc_out,
-        trap_out: trap,
-        cut_fetch,
-        regs: regs_nets,
+        cut_fetch: fd_d.bits().to_vec(),
+        ..rebind_ibex(b.finish())
     }
 }
 
@@ -848,62 +823,14 @@ pub fn build_ibex() -> IbexCore {
 ///
 /// Panics if the netlist does not expose the Ibex-class port set.
 pub fn rebind_ibex(netlist: Netlist) -> IbexCore {
-    let input_word = |nl: &Netlist, name: &str, w: usize| -> Vec<NetId> {
-        (0..w)
-            .map(|i| {
-                nl.find_net(&format!("{name}[{i}]"))
-                    .unwrap_or_else(|| panic!("missing input {name}[{i}]"))
-            })
-            .collect()
-    };
-    let outputs: std::collections::HashMap<String, NetId> = netlist
-        .outputs()
-        .iter()
-        .map(|(n, id)| (n.clone(), *id))
-        .collect();
-    let output_word = |name: &str, w: usize| -> Vec<NetId> {
-        (0..w)
-            .map(|i| {
-                *outputs
-                    .get(&format!("{name}[{i}]"))
-                    .unwrap_or_else(|| panic!("missing output {name}[{i}]"))
-            })
-            .collect()
-    };
-    let output_bit = |name: &str| -> NetId {
-        *outputs
-            .get(name)
-            .unwrap_or_else(|| panic!("missing output {name}"))
-    };
-    let instr_in = input_word(&netlist, "instr_i", 32);
-    let data_rdata_in = input_word(&netlist, "data_rdata_i", 32);
-    let instr_addr_out = output_word("instr_addr_o", 32);
-    let data_addr_out = output_word("data_addr_o", 32);
-    let data_wdata_out = output_word("data_wdata_o", 32);
-    let data_be_out = output_word("data_be_o", 4);
-    let data_we_out = output_bit("data_we_o");
-    let retire_out = output_bit("retire_o");
-    let retire_pc_out = output_word("retire_pc_o", 32);
-    let trap_out = output_bit("trap_o");
-    let mut regs: Vec<Vec<NetId>> = Vec::with_capacity(32);
-    // x0 has no port; reuse x1's nets (never read: the harness returns 0).
-    regs.push(output_word("x1_o", 32));
-    for r in 1..32 {
-        regs.push(output_word(&format!("x{r}_o"), 32));
-    }
+    let names = PortNames::new(&netlist);
+    let ports = names.ports((0..32).map(|r| format!("x{r}_o")));
+    let trap_out = names.bit("trap_o");
     IbexCore {
-        netlist,
-        instr_in,
-        data_rdata_in,
-        instr_addr_out,
-        data_addr_out,
-        data_wdata_out,
-        data_be_out,
-        data_we_out,
-        retire_out,
-        retire_pc_out,
-        trap_out,
+        instr_in: ports.fetch.clone(),
         cut_fetch: Vec::new(),
-        regs,
+        ports,
+        trap_out,
+        netlist,
     }
 }

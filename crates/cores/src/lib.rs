@@ -7,8 +7,9 @@
 //! * a 2-way out-of-order RV32IM core at the ~100k-gate scale
 //!   (RIDECORE-class).
 //!
-//! [`CoreHarness`] executes generated netlists against in-memory program
-//! images for lockstep validation.
+//! [`CoreHarness`] executes the Ibex-class and Cortex-M0-class netlists
+//! against in-memory program images for lockstep validation, through the
+//! [`CorePorts`] both cores expose.
 
 mod cortexm0;
 mod expander;
@@ -20,7 +21,7 @@ mod spec;
 
 pub use cortexm0::{build_cortexm0, rebind_cortexm0, CortexM0Core};
 pub use expander::build_expander;
-pub use harness::{CoreHarness, ThumbHarness};
+pub use harness::{CoreHarness, CorePorts, GateCore};
 pub use ibex::{build_ibex, rebind_ibex, IbexCore};
 pub use obfuscate::{obfuscate, ObfuscateConfig};
 pub use ridecore::{build_ridecore, RideCore};

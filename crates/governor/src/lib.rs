@@ -133,7 +133,7 @@ impl fmt::Display for DegradationEvent {
 pub struct FaultPlan {
     /// Force the SAT solver to report `Unknown` once this many conflicts
     /// have been charged to the governor (0 = every solve call fails
-    /// immediately).
+    /// immediately). [`Governor::new`] folds it into the conflict cap.
     pub solver_unknown_after_conflicts: Option<u64>,
     /// Panic the falsification worker running this chunk when it reaches
     /// this cycle, as `(chunk_index, cycle)`.
@@ -272,12 +272,21 @@ impl Governor {
     }
 
     /// Build a governor; a relative `deadline` is resolved against
-    /// `Instant::now()` at construction.
+    /// `Instant::now()` at construction. An armed solver fault is a
+    /// conflict cap: the budget is the smaller of `conflict_budget` and
+    /// [`FaultPlan::solver_unknown_after_conflicts`].
     pub fn new(config: &GovernorConfig) -> Governor {
+        let conflict_cap = match (
+            config.conflict_budget,
+            config.fault_plan.solver_unknown_after_conflicts,
+        ) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
         Governor {
             inner: Arc::new(Inner {
                 deadline: config.deadline.map(|d| Instant::now() + d),
-                conflict_cap: config.conflict_budget,
+                conflict_cap,
                 cycle_cap: config.cycle_budget,
                 conflicts: AtomicU64::new(0),
                 cycles: AtomicU64::new(0),
@@ -360,14 +369,9 @@ impl Governor {
     }
 
     /// Cheap per-conflict stop check for the SAT propagation loop:
-    /// cancellation, deadline, global conflict budget, or an armed
-    /// solver fault.
+    /// cancellation, deadline, or the global conflict budget (which an
+    /// armed solver fault caps).
     pub fn solver_should_stop(&self) -> bool {
-        if let Some(n) = self.inner.fault.solver_unknown_after_conflicts {
-            if self.conflicts_used() >= n {
-                return true;
-            }
-        }
         self.is_cancelled() || self.remaining_conflicts() == Some(0) || self.deadline_exceeded()
     }
 

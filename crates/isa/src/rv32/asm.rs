@@ -4,8 +4,6 @@
 //! flat byte image executed by the instruction-set simulator and profiled
 //! for Table I.
 
-use std::collections::HashMap;
-
 /// A forward- or backward-referenced code label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(usize);
@@ -41,7 +39,6 @@ pub struct Assembler {
     bytes: Vec<u8>,
     labels: Vec<Option<usize>>,
     fixups: Vec<(usize, Label, FixKind, u32, u32, u32)>, // (at, label, kind, rs1, rs2/rd, funct3)
-    bound_points: HashMap<usize, usize>,
 }
 
 impl Assembler {
@@ -69,7 +66,6 @@ impl Assembler {
     pub fn bind(&mut self, label: Label) {
         assert!(self.labels[label.0].is_none(), "label bound twice");
         self.labels[label.0] = Some(self.bytes.len());
-        self.bound_points.insert(label.0, self.bytes.len());
     }
 
     /// Emit a 32-bit instruction.

@@ -561,23 +561,9 @@ impl Prover {
                         );
                         break;
                     }
-                    if governor
-                        .fault_plan()
-                        .solver_unknown_after_conflicts
-                        .is_some()
-                        && governor.solver_should_stop()
-                    {
-                        // An armed fault is simulating solver exhaustion;
-                        // it would fire on every retry, so stop here.
-                        ledger.drop_budget(
-                            all_active,
-                            Cause::ConflictBudget,
-                            format!("iteration {solves}: injected solver exhaustion"),
-                        );
-                        break;
-                    }
                     if governor.remaining_conflicts() == Some(0) {
-                        // The global pool is spent; no retry is possible.
+                        // The global pool (capped by an armed solver
+                        // fault) is spent; no retry is possible.
                         ledger.drop_budget(
                             all_active,
                             Cause::ConflictBudget,

@@ -12,8 +12,10 @@
 # The root Cargo.toml's `default-members` cover the root package and every
 # crate, and crates/bench/tests/gates.rs runs the panic lint, so the plain
 # Tier-1 command below runs every test. After it, `cargo fmt --check` holds the workspace to rustfmt's
-# layout and clippy fails on any warning (perfbench is its own workspace and
-# is not covered).
+# layout and clippy fails on any warning. perfbench is its own workspace and
+# is not linted, but the last step checks that it still builds against the
+# library (its own lockfile, its own target directory, no build output left
+# under perfbench/).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,3 +25,4 @@ cargo build --release
 cargo test -q
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+cargo check --locked --manifest-path perfbench/Cargo.toml --all-targets --target-dir target/perfbench-check

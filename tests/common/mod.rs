@@ -1,11 +1,12 @@
 //! Shared helpers for the integration tests: the keyed-design and
 //! instruction-detector fixtures, the pipeline's falsify stage rebuilt
-//! from public parts, and the plain Houdini oracle the prover is compared
-//! against.
+//! from public parts, the plain Houdini oracle the prover is compared
+//! against, and the gate-level lockstep comparison of two cores.
 
 #![allow(dead_code)] // each test crate uses its own subset
 
 use pdat_repro::aig::{netlist_to_aig, AigLit, Frame, FrameEncoder, NetlistAig};
+use pdat_repro::cores::{CoreHarness, GateCore};
 use pdat_repro::isa::rv32::RvInstr;
 use pdat_repro::isa::RvSubset;
 use pdat_repro::mc::{
@@ -270,4 +271,31 @@ pub fn plain_houdini(
         .filter(|&k| alive[k])
         .map(|k| base[k])
         .collect()
+}
+
+/// Run `program` on both cores until `retires` instructions retire and
+/// assert that they agree: equal retire `(pc, cycle)` streams, every
+/// register both expose, and equal data memory.
+pub fn lockstep<C: GateCore>(original: &C, reduced: &C, program: &[u8], retires: usize) {
+    let mut h1 = CoreHarness::new(original, program, 4096);
+    let mut h2 = CoreHarness::new(reduced, program, 4096);
+    let n1 = h1.run_until_retires(retires, 20_000);
+    let n2 = h2.run_until_retires(retires, 20_000);
+    assert_eq!(n1, retires, "original stalled");
+    assert_eq!(n2, retires, "reduced stalled");
+    assert_eq!(h1.retires, h2.retires, "retire (pc, cycle) streams diverge");
+    let exposed = |core: &C| -> Vec<usize> {
+        let regs = &core.ports().regs;
+        (0..regs.len()).filter(|&r| !regs[r].is_empty()).collect()
+    };
+    let regs = exposed(original);
+    assert_eq!(
+        regs,
+        exposed(reduced),
+        "the cores expose different registers"
+    );
+    for r in regs {
+        assert_eq!(h1.reg(r), h2.reg(r), "register {r} diverges");
+    }
+    assert_eq!(h1.dmem, h2.dmem, "data memory diverges");
 }

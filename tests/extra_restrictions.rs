@@ -201,7 +201,7 @@ fn combined_isa_and_pin_restrictions_on_ibex() {
     // ISA subset + a pinned data-bus nibble: restrictions compose.
     let core = build_ibex();
     let subset = RvSubset::rv32i();
-    let pins = core.data_rdata_in[28..32].to_vec();
+    let pins = core.ports.load_data[28..32].to_vec();
     let res = run_with(
         &core.netlist,
         &Environment::Rv {

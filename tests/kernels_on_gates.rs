@@ -1,10 +1,14 @@
-//! The MiBench-like kernels run on the *gate-level* Ibex-class core and
-//! must produce exactly the results the instruction-set simulator produces
-//! — closing the loop between the workload substrate (Table I) and the
-//! hardware substrate (Figs. 5/7).
+//! The MiBench-like kernels run on the *gate-level* Ibex-class and
+//! Cortex-M0-class cores and must produce exactly the results the
+//! instruction-set simulators produce — closing the loop between the
+//! workload substrate (Table I) and the hardware substrate (Figs. 5–7).
 
-use pdat_repro::cores::{build_ibex, CoreHarness};
-use pdat_repro::workloads::{kernels_rv, run_rv_kernel, RvKernel};
+use pdat_repro::cores::{build_cortexm0, build_ibex, CoreHarness};
+use pdat_repro::isa::armv6m::ThumbInstr;
+use pdat_repro::workloads::kernels_thumb::{
+    t_automotive_kernels, t_networking_kernels, t_security_kernels,
+};
+use pdat_repro::workloads::{kernels_rv, run_rv_kernel, run_thumb_kernel, RvKernel};
 
 fn gate_level_result(kernel: &RvKernel) -> (u32, u64) {
     let core = build_ibex();
@@ -63,4 +67,39 @@ fn qsort_matches_iss_on_gates() {
     let iss = run_rv_kernel(&k);
     let (x10, _) = gate_level_result(&k);
     assert_eq!(x10, iss.regs[10], "qsort diverged");
+}
+
+#[test]
+fn thumb_kernels_match_iss_on_gates() {
+    let core = build_cortexm0();
+    let kernels = [
+        t_networking_kernels(),
+        t_security_kernels(),
+        t_automotive_kernels(),
+    ]
+    .concat();
+    assert_eq!(kernels.len(), 8);
+    for k in &kernels {
+        let iss = run_thumb_kernel(k);
+        // The core retires a BL's two halfwords separately.
+        let bls = iss.profile.get(&ThumbInstr::Bl).copied().unwrap_or(0);
+        let want_retires = (iss.retired + bls) as usize;
+        let mut h = CoreHarness::new(&core, &k.image, 4096);
+        let got = h.run_until_retires(want_retires, k.fuel * 40);
+        assert_eq!(
+            got, want_retires,
+            "{}: gate-level core stalled ({} of {} retires)",
+            k.name, got, want_retires
+        );
+        for r in 0..15 {
+            assert_eq!(h.reg(r), iss.regs[r], "{}: r{r} diverged", k.name);
+        }
+        let image = k.image.len();
+        assert_eq!(
+            h.dmem[image..],
+            iss.mem[image..],
+            "{}: data memory above the image diverged",
+            k.name
+        );
+    }
 }

@@ -7,7 +7,10 @@
 //! the original and the transformed netlists in lockstep, and compare
 //! retire streams, register files, and data memory.
 
-use pdat_repro::cores::{build_ibex, rebind_ibex, CoreHarness, IbexCore};
+mod common;
+
+use common::lockstep;
+use pdat_repro::cores::{build_ibex, rebind_ibex, IbexCore};
 use pdat_repro::isa::rv32::{encode as e, Assembler};
 use pdat_repro::isa::RvSubset;
 use pdat_repro::{run_pdat, ConstraintMode, Environment, PdatConfig};
@@ -39,21 +42,6 @@ fn transform(core: &IbexCore, subset: &RvSubset) -> IbexCore {
         subset.name
     );
     rebind_ibex(res.netlist)
-}
-
-/// Run `program` on both cores and compare architectural effects.
-fn lockstep(original: &IbexCore, reduced: &IbexCore, program: &[u8], retires: usize) {
-    let mut h1 = CoreHarness::new(original, program, 4096);
-    let mut h2 = CoreHarness::new(reduced, program, 4096);
-    let n1 = h1.run_until_retires(retires, 20_000);
-    let n2 = h2.run_until_retires(retires, 20_000);
-    assert_eq!(n1, retires, "original stalled");
-    assert_eq!(n2, retires, "reduced stalled");
-    assert_eq!(h1.retires, h2.retires, "retire (pc, cycle) streams diverge");
-    for r in 1..32 {
-        assert_eq!(h1.reg(r), h2.reg(r), "x{r} diverges");
-    }
-    assert_eq!(h1.dmem, h2.dmem, "data memory diverges");
 }
 
 #[test]

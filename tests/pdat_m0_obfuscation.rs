@@ -2,9 +2,10 @@
 //! behaviour, PDAT strips the obfuscation overhead, and the transformed
 //! (clean) core still runs Thumb programs in lockstep.
 
-use pdat_repro::cores::{
-    build_cortexm0, obfuscate, rebind_cortexm0, CortexM0Core, ObfuscateConfig, ThumbHarness,
-};
+mod common;
+
+use common::lockstep;
+use pdat_repro::cores::{build_cortexm0, obfuscate, rebind_cortexm0, ObfuscateConfig};
 use pdat_repro::isa::armv6m::{encode::*, ThumbAssembler};
 use pdat_repro::isa::ThumbSubset;
 use pdat_repro::{run_pdat, ConstraintMode, Environment, PdatConfig};
@@ -38,25 +39,13 @@ fn demo_program() -> Vec<u8> {
     a.finish()
 }
 
-fn run_both(a: &CortexM0Core, b: &CortexM0Core, program: &[u8]) {
-    let mut h1 = ThumbHarness::new(a, program, 2048);
-    let mut h2 = ThumbHarness::new(b, program, 2048);
-    let n1 = h1.run_until_retires(60, 5_000);
-    let n2 = h2.run_until_retires(60, 5_000);
-    assert_eq!(n1, n2, "retire counts diverge");
-    for r in 0..13 {
-        assert_eq!(h1.reg(r), h2.reg(r), "r{r} diverges");
-    }
-    assert_eq!(h1.dmem, h2.dmem, "data memory diverges");
-}
-
 #[test]
 fn obfuscated_core_executes_like_clean_core() {
     let core = build_cortexm0();
     let (obf_nl, _map) = obfuscate(&core.netlist, &ObfuscateConfig::default());
     obf_nl.validate().expect("obfuscated core valid");
     let obf = rebind_cortexm0(obf_nl);
-    run_both(&core, &obf, &demo_program());
+    lockstep(&core, &obf, &demo_program(), 60);
 }
 
 #[test]
@@ -82,7 +71,7 @@ fn pdat_strips_obfuscation_overhead_and_preserves_behaviour() {
     );
     // The de-bloated core still matches the clean core on real programs.
     let recovered = rebind_cortexm0(res.netlist);
-    run_both(&core, &recovered, &demo_program());
+    lockstep(&core, &recovered, &demo_program(), 60);
 }
 
 #[test]
@@ -103,5 +92,5 @@ fn interesting_subset_core_runs_interesting_programs() {
     let reduced = rebind_cortexm0(res.netlist);
     // demo_program uses only two-byte, non-multiply, non-barrier forms:
     // it is in the interesting subset.
-    run_both(&core, &reduced, &demo_program());
+    lockstep(&core, &reduced, &demo_program(), 60);
 }
