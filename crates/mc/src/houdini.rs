@@ -942,6 +942,81 @@ mod tests {
     }
 
     #[test]
+    fn unbudgeted_runs_repeat_their_proved_set_and_counters() {
+        // A fixed pseudo-random sequential design with state feedback,
+        // under an environment that holds one input low. Two unbudgeted
+        // runs must prove the same set with the same solver work: the
+        // solver's decision order (the heap it rebuilds each query) must
+        // not depend on anything but the run's own inputs.
+        let mut nl = Netlist::new("t");
+        let inputs: Vec<_> = (0..4).map(|i| nl.add_input(format!("i{i}"))).collect();
+        let feedback: Vec<_> = (0..8).map(|i| nl.add_net(format!("fb{i}"))).collect();
+        let mut nets = inputs.clone();
+        for (i, &fb) in feedback.iter().enumerate() {
+            nets.push(nl.add_dff(fb, i % 3 == 0, format!("q{i}")));
+        }
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut pick = |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        for k in 0..120 {
+            let (a, b, c) = (
+                nets[pick(nets.len())],
+                nets[pick(nets.len())],
+                nets[pick(nets.len())],
+            );
+            let (kind, pins) = match pick(6) {
+                0 => (CellKind::And2, vec![a, b]),
+                1 => (CellKind::Or2, vec![a, b]),
+                2 => (CellKind::Xor2, vec![a, b]),
+                3 => (CellKind::Mux2, vec![a, b, c]),
+                4 => (CellKind::Nand2, vec![a, b]),
+                _ => (CellKind::Nor2, vec![a, b]),
+            };
+            nets.push(nl.add_cell(kind, &pins, format!("n{k}")));
+        }
+        for (i, &fb) in feedback.iter().enumerate() {
+            nl.assign_alias(fb, nets[nets.len() - 1 - 7 * i]);
+        }
+        for (i, &n) in nets.iter().rev().take(4).enumerate() {
+            nl.add_output(format!("o{i}"), n);
+        }
+        let na = netlist_to_aig(&nl, &[]);
+        let cands = candidates_for_netlist(&nl, &na);
+        let env = !na.net_lit[&inputs[0]];
+        let run = || {
+            houdini_prove_warm_governed(
+                &na.aig,
+                env,
+                &na,
+                &cands,
+                &[],
+                &HoudiniConfig::default(),
+                &Governor::unlimited(),
+            )
+        };
+        let (proved1, stats1, _) = run();
+        let (proved2, stats2, _) = run();
+        assert!(
+            stats1.conflicts > 0,
+            "the design must make the solver search"
+        );
+        assert_eq!(proved1, proved2, "proved sets differ between runs");
+        assert_eq!(stats1.iterations, stats2.iterations);
+        assert_eq!(stats1.conflicts, stats2.conflicts);
+        let sizes = |s: &HoudiniStats| {
+            s.shard_stats
+                .iter()
+                .map(|x| (x.clauses_pre, x.clauses_post))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(sizes(&stats1), sizes(&stats2));
+    }
+
+    #[test]
     fn governed_global_budget_drops_all_with_event() {
         use pdat_governor::{Cause, Governor, GovernorConfig, Stage};
         // Provable mutual-induction pair, but the global conflict budget is

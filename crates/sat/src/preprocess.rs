@@ -36,7 +36,7 @@
 //! Two solvers holding the same clause database preprocess to the same
 //! clause database.
 
-use super::{Clause, ClauseRef, Lit, Solver, Var, Watcher, LBOOL_UNDEF};
+use super::{Lit, Solver, Var, Watcher, LBOOL_UNDEF};
 use std::collections::VecDeque;
 
 /// What a [`Solver::preprocess`] pass did.
@@ -72,18 +72,30 @@ const SUBSUME_LEN_LIMIT: usize = 32;
 /// Governor poll cadence, in work units.
 const POLL_STEPS: u64 = 8192;
 
+/// A clause's position in the solver's creation-order ref list. The pass
+/// only appends to that list, so ids stay put until the final compaction.
+type ClauseId = u32;
+
 /// Scratch state for one preprocessing pass.
 struct PpState {
     /// Occurrence lists over *problem* clauses, indexed by literal code.
-    occ: Vec<Vec<ClauseRef>>,
+    /// A deleted clause stays listed (readers skip it), except that a
+    /// literal removed from a clause also leaves that literal's list.
+    occ: Vec<Vec<ClauseId>>,
+    /// Live clauses per literal code: the occ list minus its dead entries.
+    live: Vec<u32>,
     /// Per-clause variable signature (1 bit per `var % 64`).
     sig: Vec<u64>,
     /// Subsumption worklist (FIFO) + membership flags.
-    queue: VecDeque<ClauseRef>,
+    queue: VecDeque<ClauseId>,
     inq: Vec<bool>,
     /// Root units discovered but not yet pushed through the occ lists.
     units: VecDeque<Lit>,
     frozen: Vec<bool>,
+    /// One variable's resolvents, back to back; `res_ends[k]` is where
+    /// the k-th ends. Reused across variables.
+    res_lits: Vec<Lit>,
+    res_ends: Vec<usize>,
     stats: PreprocessStats,
 }
 
@@ -136,14 +148,22 @@ impl Solver {
     /// is once, after the encoding is complete and before the first
     /// solve. Clauses added afterwards must not mention eliminated
     /// variables (guaranteed if every later literal is frozen).
+    ///
+    /// The watch lists are released while the pass runs. At its end the
+    /// clause arena is compacted to the live clauses and both watch
+    /// layers are rebuilt at exact capacity.
     pub fn preprocess(&mut self, frozen: &[Var]) -> PreprocessStats {
+        let nclauses = self.db.refs.len();
         let mut st = PpState {
             occ: vec![Vec::new(); 2 * self.assigns.len()],
-            sig: vec![0; self.clauses.len()],
+            live: vec![0; 2 * self.assigns.len()],
+            sig: vec![0; nclauses],
             queue: VecDeque::new(),
-            inq: vec![false; self.clauses.len()],
+            inq: vec![false; nclauses],
             units: VecDeque::new(),
             frozen: vec![false; self.assigns.len()],
+            res_lits: Vec::new(),
+            res_ends: Vec::new(),
             stats: PreprocessStats::default(),
         };
         if !self.ok {
@@ -160,46 +180,42 @@ impl Solver {
             self.ok = false;
             return st.stats;
         }
+        // The pass never propagates; the watches are rebuilt at the end.
+        for w in self.watches.iter_mut().chain(self.bin_watches.iter_mut()) {
+            *w = Vec::new();
+        }
         // Root simplification of problem clauses + occ/sig construction.
         // (Learnt clauses are redundant; they are cleaned up at the end.)
-        for ci in 0..self.clauses.len() {
-            if self.clauses[ci].deleted || self.clauses[ci].learnt {
+        for id in 0..nclauses {
+            let c = self.db.refs[id];
+            if self.db.is_deleted(c) || self.db.is_learnt(c) {
                 continue;
             }
-            let mut satisfied = false;
-            for &l in &self.clauses[ci].lits {
-                if self.lit_value(l) == 1 {
-                    satisfied = true;
-                    break;
-                }
-            }
-            if satisfied {
-                self.clauses[ci].deleted = true;
+            if self.db.lits(c).iter().any(|&l| self.lit_value(l) == 1) {
+                self.db.delete(c);
                 continue;
             }
             let assigns = &self.assigns;
-            self.clauses[ci]
-                .lits
-                .retain(|l| assigns[l.var().index()] == LBOOL_UNDEF);
-            self.clauses[ci].lits.sort();
-            match self.clauses[ci].lits.len() {
-                0 => {
+            self.db
+                .retain_lits(c, |l| assigns[l.var().index()] == LBOOL_UNDEF);
+            self.db.lits_mut(c).sort();
+            match *self.db.lits(c) {
+                [] => {
                     self.ok = false;
                     return st.stats;
                 }
-                1 => {
-                    let u = self.clauses[ci].lits[0];
-                    self.clauses[ci].deleted = true;
+                [u] => {
+                    self.db.delete(c);
                     st.units.push_back(u);
                 }
-                _ => {
-                    let cref = ci as ClauseRef;
-                    st.sig[ci] = lits_sig(&self.clauses[ci].lits);
-                    for &l in &self.clauses[ci].lits {
-                        st.occ[l.code()].push(cref);
+                ref lits => {
+                    st.sig[id] = lits_sig(lits);
+                    for &l in lits {
+                        st.occ[l.code()].push(id as ClauseId);
+                        st.live[l.code()] += 1;
                     }
-                    st.queue.push_back(cref);
-                    st.inq[ci] = true;
+                    st.queue.push_back(id as ClauseId);
+                    st.inq[id] = true;
                 }
             }
         }
@@ -210,51 +226,54 @@ impl Solver {
         if !ok {
             self.ok = false;
         }
-        self.pp_cleanup_learnt();
+        // Free the occurrence lists before the compaction copies the arena.
+        drop(st.occ);
+        self.pp_sweep();
+        self.db.compact();
         self.pp_rebuild_watches();
         st.stats
     }
 
-    /// Delete a live problem clause and unlink it from the occ lists.
-    fn pp_delete(&mut self, st: &mut PpState, ci: ClauseRef) {
-        let i = ci as usize;
-        if self.clauses[i].deleted {
+    /// Delete a live problem clause. Its occ entries stay (readers skip
+    /// dead clauses); only the live counts drop.
+    fn pp_delete(&mut self, st: &mut PpState, id: ClauseId) {
+        let c = self.db.refs[id as usize];
+        if self.db.is_deleted(c) {
             return;
         }
-        self.clauses[i].deleted = true;
-        for k in 0..self.clauses[i].lits.len() {
-            let code = self.clauses[i].lits[k].code();
-            if let Some(p) = st.occ[code].iter().position(|&x| x == ci) {
-                st.occ[code].swap_remove(p);
-            }
+        self.db.delete(c);
+        for &l in self.db.lits(c) {
+            st.live[l.code()] -= 1;
         }
     }
 
-    /// Remove literal `m` from clause `ci` (self-subsuming resolution or
+    /// Remove literal `m` from clause `id` (self-subsuming resolution or
     /// unit pushing). May derive a new unit.
-    fn pp_strengthen(&mut self, st: &mut PpState, ci: ClauseRef, m: Lit) -> bool {
-        let i = ci as usize;
-        if self.clauses[i].deleted {
+    fn pp_strengthen(&mut self, st: &mut PpState, id: ClauseId, m: Lit) -> bool {
+        let c = self.db.refs[id as usize];
+        if self.db.is_deleted(c) {
             return true;
         }
-        self.clauses[i].lits.retain(|&l| l != m);
-        if let Some(p) = st.occ[m.code()].iter().position(|&x| x == ci) {
-            st.occ[m.code()].swap_remove(p);
+        if self.db.retain_lits(c, |l| l != m) > 0 {
+            st.live[m.code()] -= 1;
         }
-        st.sig[i] = lits_sig(&self.clauses[i].lits);
+        let occ = &mut st.occ[m.code()];
+        if let Some(p) = occ.iter().position(|&x| x == id) {
+            occ.swap_remove(p);
+        }
+        st.sig[id as usize] = lits_sig(self.db.lits(c));
         st.stats.clauses_strengthened += 1;
-        match self.clauses[i].lits.len() {
-            0 => false, // empty clause: unsatisfiable
-            1 => {
-                let u = self.clauses[i].lits[0];
-                self.pp_delete(st, ci);
+        match *self.db.lits(c) {
+            [] => false, // empty clause: unsatisfiable
+            [u] => {
+                self.pp_delete(st, id);
                 st.units.push_back(u);
                 true
             }
             _ => {
-                if !st.inq[i] {
-                    st.inq[i] = true;
-                    st.queue.push_back(ci);
+                if !st.inq[id as usize] {
+                    st.inq[id as usize] = true;
+                    st.queue.push_back(id);
                 }
                 true
             }
@@ -273,13 +292,13 @@ impl Solver {
             }
             st.stats.units_derived += 1;
             self.unchecked_enqueue(u, None);
-            let sat: Vec<ClauseRef> = st.occ[u.code()].clone();
-            for ci in sat {
-                self.pp_delete(st, ci);
+            // Neither list is read again: every clause on them dies or
+            // loses `!u`.
+            for id in std::mem::take(&mut st.occ[u.code()]) {
+                self.pp_delete(st, id);
             }
-            let weak: Vec<ClauseRef> = st.occ[(!u).code()].clone();
-            for ci in weak {
-                if !self.pp_strengthen(st, ci, !u) {
+            for id in std::mem::take(&mut st.occ[(!u).code()]) {
+                if !self.pp_strengthen(st, id, !u) {
                     return false;
                 }
             }
@@ -290,13 +309,13 @@ impl Solver {
     /// Drain the subsumption worklist: each queued clause tries to
     /// subsume or strengthen its superset candidates.
     fn pp_subsume(&mut self, st: &mut PpState) -> bool {
-        while let Some(ci) = st.queue.pop_front() {
-            let i = ci as usize;
-            st.inq[i] = false;
-            if self.clauses[i].deleted || st.stats.aborted {
+        while let Some(id) = st.queue.pop_front() {
+            st.inq[id as usize] = false;
+            let cr = self.db.refs[id as usize];
+            if self.db.is_deleted(cr) || st.stats.aborted {
                 continue;
             }
-            let c = self.clauses[i].lits.clone();
+            let c = self.db.lits(cr).to_vec();
             if c.len() > SUBSUME_LEN_LIMIT {
                 continue;
             }
@@ -305,19 +324,20 @@ impl Solver {
             let lmin = c
                 .iter()
                 .copied()
-                .min_by_key(|l| st.occ[l.code()].len() + st.occ[(!*l).code()].len());
+                .min_by_key(|l| st.live[l.code()] + st.live[(!*l).code()]);
             let Some(lmin) = lmin else { continue };
-            let mut cands: Vec<ClauseRef> = st.occ[lmin.code()].clone();
+            let mut cands: Vec<ClauseId> = st.occ[lmin.code()].clone();
             cands.extend_from_slice(&st.occ[(!lmin).code()]);
-            let csig = st.sig[i];
+            let csig = st.sig[id as usize];
             for di in cands {
-                if di == ci || self.clauses[di as usize].deleted {
+                let dr = self.db.refs[di as usize];
+                if di == id || self.db.is_deleted(dr) {
                     continue;
                 }
                 if !st.step(self) {
                     break;
                 }
-                let d = &self.clauses[di as usize].lits;
+                let d = self.db.lits(dr);
                 if d.len() < c.len() || csig & !st.sig[di as usize] != 0 {
                     continue;
                 }
@@ -354,33 +374,24 @@ impl Solver {
             }
             let v = Var::from_index(vi);
             let (pl, nl) = (Lit::pos(v).code(), Lit::neg(v).code());
-            let pos: Vec<ClauseRef> = st.occ[pl]
-                .iter()
-                .copied()
-                .filter(|&c| !self.clauses[c as usize].deleted)
-                .collect();
-            let neg: Vec<ClauseRef> = st.occ[nl]
-                .iter()
-                .copied()
-                .filter(|&c| !self.clauses[c as usize].deleted)
-                .collect();
-            if pos.is_empty() && neg.is_empty() {
+            let budget = (st.live[pl] + st.live[nl]) as usize;
+            if budget == 0 || budget > ELIM_OCC_LIMIT {
                 continue;
             }
-            let budget = pos.len() + neg.len();
-            if budget > ELIM_OCC_LIMIT {
-                continue;
-            }
+            let live = |id: &ClauseId| !self.db.is_deleted(self.db.refs[*id as usize]);
+            let pos: Vec<ClauseId> = st.occ[pl].iter().copied().filter(live).collect();
+            let neg: Vec<ClauseId> = st.occ[nl].iter().copied().filter(live).collect();
             if pos
                 .iter()
                 .chain(&neg)
-                .any(|&c| self.clauses[c as usize].lits.len() > ELIM_CLAUSE_LIMIT)
+                .any(|&id| self.db.len(self.db.refs[id as usize]) > ELIM_CLAUSE_LIMIT)
             {
                 continue;
             }
             // Build all non-tautological resolvents; bail if they would
             // outnumber the clauses they replace.
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
+            st.res_lits.clear();
+            st.res_ends.clear();
             let mut over = false;
             'pairs: for &ci in &pos {
                 for &di in &neg {
@@ -388,9 +399,9 @@ impl Solver {
                         over = true;
                         break 'pairs;
                     }
-                    if let Some(r) = self.pp_resolve(ci, di, v) {
-                        resolvents.push(r);
-                        if resolvents.len() > budget {
+                    if self.pp_resolve(ci, di, v, &mut st.res_lits) {
+                        st.res_ends.push(st.res_lits.len());
+                        if st.res_ends.len() > budget {
                             over = true;
                             break 'pairs;
                         }
@@ -403,29 +414,31 @@ impl Solver {
             self.eliminated[vi] = true;
             self.num_eliminated += 1;
             st.stats.vars_eliminated += 1;
-            for ci in pos.into_iter().chain(neg) {
-                self.pp_delete(st, ci);
+            for id in pos.into_iter().chain(neg) {
+                self.pp_delete(st, id);
             }
-            for r in resolvents {
+            // Every clause on v's lists is dead now.
+            st.occ[pl] = Vec::new();
+            st.occ[nl] = Vec::new();
+            let mut begin = 0;
+            for k in 0..st.res_ends.len() {
+                let end = st.res_ends[k];
+                let r = &st.res_lits[begin..end];
+                begin = end;
                 st.stats.resolvents_added += 1;
-                match r.len() {
-                    0 => return false,
-                    1 => st.units.push_back(r[0]),
+                match *r {
+                    [] => return false,
+                    [u] => st.units.push_back(u),
                     _ => {
-                        let cref = self.clauses.len() as ClauseRef;
-                        st.sig.push(lits_sig(&r));
+                        let id = self.db.refs.len() as ClauseId;
+                        st.sig.push(lits_sig(r));
                         st.inq.push(true);
-                        st.queue.push_back(cref);
-                        for &l in &r {
-                            st.occ[l.code()].push(cref);
+                        st.queue.push_back(id);
+                        for &l in r {
+                            st.occ[l.code()].push(id);
+                            st.live[l.code()] += 1;
                         }
-                        self.clauses.push(Clause {
-                            lits: r,
-                            learnt: false,
-                            activity: 0.0,
-                            lbd: 0,
-                            deleted: false,
-                        });
+                        self.db.push(r, false, 0);
                     }
                 }
             }
@@ -436,95 +449,119 @@ impl Solver {
         true
     }
 
-    /// Resolvent of clauses `ci` (contains `v`) and `di` (contains `¬v`)
-    /// on `v`; `None` if tautological. Inputs and output sorted.
-    fn pp_resolve(&self, ci: ClauseRef, di: ClauseRef, v: Var) -> Option<Vec<Lit>> {
-        let a = &self.clauses[ci as usize].lits;
-        let b = &self.clauses[di as usize].lits;
-        let mut out: Vec<Lit> = Vec::with_capacity(a.len() + b.len() - 2);
-        for &l in a.iter().chain(b.iter()) {
-            if l.var() != v {
-                out.push(l);
-            }
-        }
-        out.sort();
-        out.dedup();
-        // Sorted by code ⇒ the two polarities of a var are adjacent.
-        for w in out.windows(2) {
-            if w[0].var() == w[1].var() {
-                return None;
-            }
-        }
-        Some(out)
-    }
-
-    /// Learnt clauses are redundant: drop any that mention an eliminated
-    /// variable or a root-assigned literal (cheaper than resimplifying,
-    /// and always sound).
-    fn pp_cleanup_learnt(&mut self) {
-        let eliminated = &self.eliminated;
-        let assigns = &self.assigns;
-        let mut removed = 0usize;
-        for c in self.clauses.iter_mut() {
-            if c.deleted || !c.learnt {
-                continue;
-            }
-            let stale = c
-                .lits
-                .iter()
-                .any(|l| eliminated[l.var().index()] || assigns[l.var().index()] != LBOOL_UNDEF);
-            if stale {
-                c.deleted = true;
-                removed += 1;
-            }
-        }
-        self.num_learnt -= removed;
-    }
-
-    /// Rebuild both watch layers from the live clause set and re-run
-    /// root propagation so the queue state is consistent.
-    fn pp_rebuild_watches(&mut self) {
-        for w in self.watches.iter_mut() {
-            w.clear();
-        }
-        for w in self.bin_watches.iter_mut() {
-            w.clear();
-        }
-        for i in 0..self.clauses.len() {
-            if self.clauses[i].deleted {
-                continue;
-            }
-            if self.clauses[i].lits.len() < 2 {
-                // Defensive: stray short clause (preprocessing converts
-                // these to trail facts); represent it as one.
-                match self.clauses[i].lits.first().copied() {
-                    Some(u) => {
-                        self.clauses[i].deleted = true;
-                        if self.clauses[i].learnt {
-                            self.num_learnt -= 1;
-                        }
-                        match self.lit_value(u) {
-                            1 => {}
-                            0 => self.ok = false,
-                            _ => self.unchecked_enqueue(u, None),
-                        }
-                    }
-                    None => self.ok = false,
+    /// Append to `out` the resolvent of clauses `ci` (contains `v`) and
+    /// `di` (contains `¬v`) on `v`, merged from the two sorted clauses so
+    /// it is sorted too. Returns `false`, with `out` as it was, if the
+    /// resolvent is tautological.
+    fn pp_resolve(&self, ci: ClauseId, di: ClauseId, v: Var, out: &mut Vec<Lit>) -> bool {
+        let a = self.db.lits(self.db.refs[ci as usize]);
+        let b = self.db.lits(self.db.refs[di as usize]);
+        let begin = out.len();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let l = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x <= y => {
+                    i += 1;
+                    x
                 }
+                (_, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, None) => break,
+            };
+            if l.var() == v {
                 continue;
             }
-            let cref = i as ClauseRef;
-            let (l0, l1) = (self.clauses[i].lits[0], self.clauses[i].lits[1]);
-            let lists = if self.clauses[i].lits.len() == 2 {
-                &mut self.bin_watches
-            } else {
-                &mut self.watches
+            // Sorted by code ⇒ a repeat or the other polarity of a var
+            // comes right after it.
+            match out[begin..].last() {
+                Some(&last) if last == l => continue,
+                Some(&last) if last.var() == l.var() => {
+                    out.truncate(begin);
+                    return false;
+                }
+                _ => out.push(l),
+            }
+        }
+        true
+    }
+
+    /// Last pass before compaction. Learnt clauses are redundant: drop
+    /// any that mention an eliminated variable or a root-assigned literal
+    /// (cheaper than resimplifying, and always sound). A live clause
+    /// shorter than two literals (defensive: preprocessing turns these
+    /// into trail facts) becomes one.
+    fn pp_sweep(&mut self) {
+        for k in 0..self.db.refs.len() {
+            let c = self.db.refs[k];
+            if self.db.is_deleted(c) {
+                continue;
+            }
+            let learnt = self.db.is_learnt(c);
+            let stale = learnt
+                && self.db.lits(c).iter().any(|l| {
+                    self.eliminated[l.var().index()] || self.assigns[l.var().index()] != LBOOL_UNDEF
+                });
+            let short = match *self.db.lits(c) {
+                [] => Some(None),
+                [u] => Some(Some(u)),
+                _ => None,
             };
-            lists[(!l0).code()].push(Watcher { cref, blocker: l1 });
-            lists[(!l1).code()].push(Watcher { cref, blocker: l0 });
+            if !stale && short.is_none() {
+                continue;
+            }
+            self.db.delete(c);
+            if learnt {
+                self.num_learnt -= 1;
+            }
+            if !stale {
+                match short.flatten().map(|u| (u, self.lit_value(u))) {
+                    Some((_, 1)) => {}
+                    Some((u, LBOOL_UNDEF)) => self.unchecked_enqueue(u, None),
+                    _ => self.ok = false,
+                }
+            }
+        }
+    }
+
+    /// Rebuild both watch layers from the compacted arena, each list at
+    /// exact capacity, and re-run root propagation so the queue state is
+    /// consistent.
+    fn pp_rebuild_watches(&mut self) {
+        let mut long = vec![0usize; self.watches.len()];
+        let mut bin = vec![0usize; self.bin_watches.len()];
+        for &c in &self.db.refs {
+            if let [l0, l1, ref rest @ ..] = *self.db.lits(c) {
+                let counts = if rest.is_empty() { &mut bin } else { &mut long };
+                counts[(!l0).code()] += 1;
+                counts[(!l1).code()] += 1;
+            }
+        }
+        for (w, n) in self.watches.iter_mut().zip(long) {
+            *w = Vec::with_capacity(n);
+        }
+        for (w, n) in self.bin_watches.iter_mut().zip(bin) {
+            *w = Vec::with_capacity(n);
+        }
+        for &cref in &self.db.refs {
+            if let [l0, l1, ref rest @ ..] = *self.db.lits(cref) {
+                let lists = if rest.is_empty() {
+                    &mut self.bin_watches
+                } else {
+                    &mut self.watches
+                };
+                lists[(!l0).code()].push(Watcher { cref, blocker: l1 });
+                lists[(!l1).code()].push(Watcher { cref, blocker: l0 });
+            }
         }
         // Root facts need no reasons (analysis never expands level 0);
-        // clearing them keeps clause locking from pinning stale refs.
+        // clearing them keeps clause locking from pinning refs the
+        // compaction invalidated.
         for i in 0..self.trail.len() {
             self.reason[self.trail[i].var().index()] = None;
         }

@@ -20,6 +20,31 @@
 //! - learnt clauses carry their LBD (literal block distance) and the
 //!   clause database is periodically reduced by LBD-then-activity, keeping
 //!   "glue" clauses across queries.
+//!
+//! # Storage
+//!
+//! Every clause lives in one flat arena of 32-bit words: a header word
+//! (learnt and deleted flags, literal count), the literals, and for a
+//! learnt clause its LBD and activity. A clause reference is the offset of
+//! its header, and a list of references in creation order stands in for
+//! iteration over the clauses. Deleting a clause sets its flag: a database
+//! reduction drops deleted references from the list, and their words stay
+//! in the arena until [`Solver::preprocess`] compacts it to the live
+//! clauses.
+//!
+//! Two watch layers index the arena. A binary clause sits only in the
+//! implication layer, as `(other literal, reference)` under each of its
+//! negated literals, and never moves. A longer clause is watched on its
+//! first two literals, each watch carrying a blocker literal. Preprocessing
+//! releases both layers while it runs and rebuilds them at exact capacity
+//! from the compacted arena.
+//!
+//! The decision heap orders variables by VSIDS activity. It is rebuilt in
+//! O(n), from the unassigned, non-eliminated variables in index order,
+//! once a solve call's assumption level has propagated, and after any
+//! unwind to level 0 inside a search. So it never holds the thousands of
+//! variables the assumptions fix, and an unwind to level 0 re-inserts
+//! nothing.
 
 use pdat_governor::Governor;
 use std::fmt;
@@ -127,18 +152,160 @@ struct Watcher {
     blocker: Lit,
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    activity: f32,
-    /// Literal block distance at learning time (0 for problem clauses).
-    /// Low-LBD ("glue") clauses are the ones worth keeping across queries.
-    lbd: u32,
-    deleted: bool,
+/// Arena offset of a clause's header word.
+type ClauseRef = u32;
+
+/// Header word: bit 0 marks a learnt clause, bit 1 a deleted one, and the
+/// bits above hold the literal count.
+const HDR_LEARNT: u32 = 1;
+const HDR_DELETED: u32 = 2;
+const HDR_SIZE_SHIFT: u32 = 2;
+
+/// Every clause in one flat arena: a header word, the literals, and for a
+/// learnt clause two more words, its LBD (literal block distance at
+/// learning time; low-LBD "glue" clauses are the ones worth keeping across
+/// queries) and its activity. A problem clause is one word plus its
+/// literals, with no allocation of its own.
+#[derive(Debug, Default)]
+struct ClauseDb {
+    arena: Vec<Lit>,
+    /// Every clause's ref in creation order. Deleted clauses leave it at
+    /// the next [`ClauseDb::drop_deleted_refs`] or [`ClauseDb::compact`].
+    refs: Vec<ClauseRef>,
+    /// Arena words no live clause owns: deleted clauses and literals
+    /// removed from clauses. [`ClauseDb::compact`] returns them.
+    wasted: usize,
 }
 
-type ClauseRef = u32;
+impl ClauseDb {
+    fn header(&self, c: ClauseRef) -> u32 {
+        self.arena[c as usize].0
+    }
+
+    fn len(&self, c: ClauseRef) -> usize {
+        (self.header(c) >> HDR_SIZE_SHIFT) as usize
+    }
+
+    fn is_learnt(&self, c: ClauseRef) -> bool {
+        self.header(c) & HDR_LEARNT != 0
+    }
+
+    fn is_deleted(&self, c: ClauseRef) -> bool {
+        self.header(c) & HDR_DELETED != 0
+    }
+
+    /// Arena words the clause occupies, header included.
+    fn words(&self, c: ClauseRef) -> usize {
+        1 + self.len(c) + if self.is_learnt(c) { 2 } else { 0 }
+    }
+
+    fn lits(&self, c: ClauseRef) -> &[Lit] {
+        let start = c as usize + 1;
+        &self.arena[start..start + self.len(c)]
+    }
+
+    fn lits_mut(&mut self, c: ClauseRef) -> &mut [Lit] {
+        let start = c as usize + 1;
+        let end = start + self.len(c);
+        &mut self.arena[start..end]
+    }
+
+    /// LBD of a learnt clause.
+    fn lbd(&self, c: ClauseRef) -> u32 {
+        self.arena[c as usize + 1 + self.len(c)].0
+    }
+
+    /// Activity of a learnt clause.
+    fn activity(&self, c: ClauseRef) -> f32 {
+        f32::from_bits(self.arena[c as usize + 2 + self.len(c)].0)
+    }
+
+    fn set_activity(&mut self, c: ClauseRef, a: f32) {
+        let i = c as usize + 2 + self.len(c);
+        self.arena[i] = Lit(a.to_bits());
+    }
+
+    /// Append a clause; its ref goes to the end of `refs`.
+    fn push(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
+        let cref = self.arena.len() as ClauseRef;
+        self.arena.push(Lit(
+            (lits.len() as u32) << HDR_SIZE_SHIFT | u32::from(learnt)
+        ));
+        self.arena.extend_from_slice(lits);
+        if learnt {
+            self.arena.push(Lit(lbd));
+            self.arena.push(Lit(0f32.to_bits()));
+        }
+        self.refs.push(cref);
+        cref
+    }
+
+    fn delete(&mut self, c: ClauseRef) {
+        self.wasted += self.words(c);
+        self.arena[c as usize].0 |= HDR_DELETED;
+    }
+
+    /// Keep the literals `keep` accepts, in order; the freed words at the
+    /// clause's end are waste until the next compaction. Returns how many
+    /// literals went.
+    fn retain_lits(&mut self, c: ClauseRef, keep: impl Fn(Lit) -> bool) -> usize {
+        let start = c as usize + 1;
+        let end = start + self.len(c);
+        let mut k = start;
+        for j in start..end {
+            let l = self.arena[j];
+            if keep(l) {
+                self.arena[k] = l;
+                k += 1;
+            }
+        }
+        let removed = end - k;
+        if removed > 0 {
+            let tail = self.words(c) - 1 - self.len(c);
+            self.arena.copy_within(end..end + tail, k);
+            self.arena[c as usize].0 -= (removed as u32) << HDR_SIZE_SHIFT;
+            self.wasted += removed;
+        }
+        removed
+    }
+
+    /// Forget the refs of deleted clauses (their words stay until the
+    /// next compaction).
+    fn drop_deleted_refs(&mut self) {
+        let arena = &self.arena;
+        self.refs
+            .retain(|&c| arena[c as usize].0 & HDR_DELETED == 0);
+    }
+
+    /// Copy the live clauses, in creation order, into an arena of exact
+    /// size. Every ref held outside changes: callers drop or rebuild them.
+    fn compact(&mut self) {
+        let mut arena = Vec::with_capacity(self.arena.len() - self.wasted);
+        let mut refs = Vec::new();
+        for &c in &self.refs {
+            if self.is_deleted(c) {
+                continue;
+            }
+            refs.push(arena.len() as ClauseRef);
+            let start = c as usize;
+            arena.extend_from_slice(&self.arena[start..start + self.words(c)]);
+        }
+        refs.shrink_to_fit();
+        self.arena = arena;
+        self.refs = refs;
+        self.wasted = 0;
+    }
+}
+
+/// Value of `l` under `assigns` (lbool per variable).
+fn value_of(assigns: &[u8], l: Lit) -> u8 {
+    let a = assigns[l.var().index()];
+    if a == LBOOL_UNDEF {
+        LBOOL_UNDEF
+    } else {
+        (a ^ (l.0 & 1) as u8) & 1
+    }
+}
 
 /// Default cap on retained learnt clauses before a reduction pass.
 const DEFAULT_CLAUSE_DB_LIMIT: usize = 8192;
@@ -151,7 +318,7 @@ const DEFAULT_CLAUSE_DB_LIMIT: usize = 8192;
 /// them.
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    db: ClauseDb,
     watches: Vec<Vec<Watcher>>, // indexed by lit code (clauses of length ≥ 3)
     /// Dedicated binary-implication layer: for a two-literal clause
     /// `(a ∨ b)` the entry at `(!a).code()` is `(b, cref)` and vice
@@ -176,7 +343,11 @@ pub struct Solver {
     var_inc: f64,
     heap: Vec<Var>,
     heap_pos: Vec<usize>, // usize::MAX when absent
-    polarity: Vec<bool>,  // saved phases
+    /// Set when an unwind to level 0 skipped re-inserting the variables
+    /// it unassigned, and at the start of every solve call: the next
+    /// decision first rebuilds the heap from the unassigned variables.
+    heap_stale: bool,
+    polarity: Vec<bool>, // saved phases
     /// Variables removed by bounded variable elimination
     /// ([`Solver::preprocess`]): never decided on, and guaranteed absent
     /// from every live clause. Their model value is unspecified.
@@ -208,7 +379,7 @@ impl Solver {
     /// Create an empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            db: ClauseDb::default(),
             watches: Vec::new(),
             bin_watches: Vec::new(),
             assigns: Vec::new(),
@@ -222,6 +393,7 @@ impl Solver {
             var_inc: 1.0,
             heap: Vec::new(),
             heap_pos: Vec::new(),
+            heap_stale: false,
             polarity: Vec::new(),
             eliminated: Vec::new(),
             num_eliminated: 0,
@@ -285,9 +457,10 @@ impl Solver {
 
     /// Number of problem (non-learnt) clauses added.
     pub fn num_clauses(&self) -> usize {
-        self.clauses
+        self.db
+            .refs
             .iter()
-            .filter(|c| !c.learnt && !c.deleted)
+            .filter(|&&c| !self.db.is_learnt(c) && !self.db.is_deleted(c))
             .count()
     }
 
@@ -376,12 +549,7 @@ impl Solver {
     }
 
     fn lit_value(&self, l: Lit) -> u8 {
-        let a = self.assigns[l.var().index()];
-        if a == LBOOL_UNDEF {
-            LBOOL_UNDEF
-        } else {
-            (a ^ (l.0 & 1) as u8) & 1
-        }
+        value_of(&self.assigns, l)
     }
 
     /// Value of `v` in the most recent satisfying model, or `None` if the
@@ -439,14 +607,14 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach_clause(c, false, 0);
+                self.attach_clause(&c, false, 0);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
-        let cref = self.clauses.len() as ClauseRef;
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
+        let cref = self.db.push(lits, learnt, lbd);
         // Binary clauses live only in the implication layer; the watcher's
         // blocker field doubles as "the other literal".
         let lists = if lits.len() == 2 {
@@ -465,13 +633,6 @@ impl Solver {
         if learnt {
             self.num_learnt += 1;
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            activity: 0.0,
-            lbd,
-            deleted: false,
-        });
         cref
     }
 
@@ -505,7 +666,7 @@ impl Solver {
         if lp == self.decision_level() {
             return lp;
         }
-        self.clauses[cref as usize].lits[1..]
+        self.db.lits(cref)[1..]
             .iter()
             .map(|q| self.level[q.var().index()])
             .fold(lp, u32::max)
@@ -535,9 +696,9 @@ impl Solver {
                     _ => {
                         // analyze() expects a reason clause's implied
                         // literal at position 0.
-                        let c = &mut self.clauses[w.cref as usize];
-                        if c.lits[0] != w.blocker {
-                            c.lits.swap(0, 1);
+                        let c = self.db.lits_mut(w.cref);
+                        if c[0] != w.blocker {
+                            c.swap(0, 1);
                         }
                         let lvl = self.level[p.var().index()];
                         self.assign(w.blocker, lvl, Some(w.cref));
@@ -547,39 +708,36 @@ impl Solver {
             let mut i = 0;
             let mut watch = std::mem::take(&mut self.watches[p.code()]);
             let mut conflict = None;
+            let falsified = !p;
             while i < watch.len() {
                 // Blocker check first: a true blocker means the clause is
                 // satisfied — skip without touching clause storage.
-                if self.lit_value(watch[i].blocker) == 1 {
+                if value_of(&self.assigns, watch[i].blocker) == 1 {
                     i += 1;
                     continue;
                 }
                 let cref = watch[i].cref;
-                if self.clauses[cref as usize].deleted {
+                if self.db.is_deleted(cref) {
                     watch.swap_remove(i);
                     continue;
                 }
+                let lits = self.db.lits_mut(cref);
                 // Ensure the falsified literal (!p) is at position 1.
-                let falsified = !p;
-                {
-                    let c = &mut self.clauses[cref as usize];
-                    if c.lits[0] == falsified {
-                        c.lits.swap(0, 1);
-                    }
+                if lits[0] == falsified {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref as usize].lits[0];
-                if self.lit_value(first) == 1 {
+                let first = lits[0];
+                if value_of(&self.assigns, first) == 1 {
                     watch[i].blocker = first;
                     i += 1;
                     continue; // clause satisfied
                 }
                 // Look for a new watch among lits[2..].
                 let mut moved = false;
-                let len = self.clauses[cref as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref as usize].lits[k];
-                    if self.lit_value(lk) != 0 {
-                        self.clauses[cref as usize].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if value_of(&self.assigns, lk) != 0 {
+                        lits.swap(1, k);
                         self.watches[(!lk).code()].push(Watcher {
                             cref,
                             blocker: first,
@@ -593,7 +751,7 @@ impl Solver {
                     continue;
                 }
                 // No new watch: clause is unit or conflicting.
-                if self.lit_value(first) == 0 {
+                if value_of(&self.assigns, first) == 0 {
                     conflict = Some(cref);
                     self.qhead -= 1;
                     break;
@@ -629,12 +787,20 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
+    /// Bump a learnt clause's activity (only learnt clauses carry one: it
+    /// ranks them for [`Solver::reduce_db`]).
     fn cla_bump(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for cl in self.clauses.iter_mut() {
-                cl.activity *= 1e-20;
+        if !self.db.is_learnt(cref) {
+            return;
+        }
+        let a = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, a);
+        if a > 1e20 {
+            for k in 0..self.db.refs.len() {
+                let c = self.db.refs[k];
+                if self.db.is_learnt(c) {
+                    self.db.set_activity(c, self.db.activity(c) * 1e-20);
+                }
             }
             self.cla_inc *= 1e-20;
         }
@@ -654,8 +820,8 @@ impl Solver {
         loop {
             self.cla_bump(conflict);
             let start = usize::from(p.is_some());
-            for k in start..self.clauses[conflict as usize].lits.len() {
-                let q = self.clauses[conflict as usize].lits[k];
+            for k in start..self.db.len(conflict) {
+                let q = self.db.lits(conflict)[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -695,7 +861,7 @@ impl Solver {
             let r = self.reason[l.var().index()];
             let redundant = match r {
                 None => false,
-                Some(cr) => self.clauses[cr as usize].lits.iter().all(|&q| {
+                Some(cr) => self.db.lits(cr).iter().all(|&q| {
                     q.var() == l.var()
                         || self.seen[q.var().index()]
                         || self.level[q.var().index()] == 0
@@ -741,7 +907,9 @@ impl Solver {
     /// Undo every assignment above level `lvl`. Assignments at or below
     /// `lvl` that sit above the level's trail mark (placed out of order)
     /// stay, compacted down, and are queued again: a clause they falsified
-    /// may have been satisfied by a literal this backtrack undoes.
+    /// may have been satisfied by a literal this backtrack undoes. An
+    /// unwind to level 0 does not re-insert the freed variables into the
+    /// decision heap; it marks the heap for a rebuild instead.
     fn cancel_until(&mut self, lvl: u32) {
         if self.decision_level() <= lvl {
             return;
@@ -759,10 +927,11 @@ impl Solver {
             self.assigns[v.index()] = LBOOL_UNDEF;
             self.polarity[v.index()] = l.is_pos();
             self.reason[v.index()] = None;
-            if self.heap_pos[v.index()] == usize::MAX {
+            if lvl > 0 && self.heap_pos[v.index()] == usize::MAX {
                 self.heap_insert(v);
             }
         }
+        self.heap_stale |= lvl == 0;
         self.trail.truncate(kept);
         self.trail_lim.truncate(lvl as usize);
         self.qhead = self.qhead.min(mark);
@@ -784,30 +953,32 @@ impl Solver {
     /// make incremental re-solving pay off — as are clauses currently
     /// locked as a propagation reason.
     fn reduce_db(&mut self) {
-        let mut cands: Vec<ClauseRef> = (0..self.clauses.len() as ClauseRef)
+        let db = &self.db;
+        let mut cands: Vec<ClauseRef> = db
+            .refs
+            .iter()
+            .copied()
             .filter(|&cr| {
-                let c = &self.clauses[cr as usize];
-                c.learnt
-                    && !c.deleted
-                    && c.lits.len() > 2
-                    && c.lbd > 2
-                    && !(self.lit_value(c.lits[0]) == 1
-                        && self.reason[c.lits[0].var().index()] == Some(cr))
+                db.is_learnt(cr)
+                    && !db.is_deleted(cr)
+                    && db.len(cr) > 2
+                    && db.lbd(cr) > 2
+                    && !(self.lit_value(db.lits(cr)[0]) == 1
+                        && self.reason[db.lits(cr)[0].var().index()] == Some(cr))
             })
             .collect();
         cands.sort_by(|&a, &b| {
-            let ca = &self.clauses[a as usize];
-            let cb = &self.clauses[b as usize];
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            db.lbd(b).cmp(&db.lbd(a)).then(
+                db.activity(a)
+                    .partial_cmp(&db.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         for &cr in cands.iter().take(cands.len() / 2) {
-            self.clauses[cr as usize].deleted = true;
+            self.db.delete(cr);
             self.num_learnt -= 1;
         }
+        self.db.drop_deleted_refs();
     }
 
     /// Solve the current formula with no assumptions.
@@ -842,6 +1013,9 @@ impl Solver {
             return SolveResult::Unknown;
         }
         self.cancel_until(0);
+        // The assumption level assigns much of the formula; the heap is
+        // rebuilt once it has propagated, so it holds none of those.
+        self.heap_stale = true;
         let mut restart_idx = 0u64;
         let result = loop {
             match self.search(assumptions, luby(restart_idx) * 100) {
@@ -872,23 +1046,36 @@ impl Solver {
     /// unsatisfiable, permanently: latching that is required for
     /// incremental reuse (the violated clause's watchers have already
     /// fired and will not fire again). At or below `assumption_level` it is
-    /// a conflict under the assumptions alone. Otherwise the solver learns
-    /// at the conflict level, undoes that level only, and assigns the
-    /// asserting literal at its own level; a learnt unit goes to level 0
-    /// in place.
+    /// a conflict under the assumptions alone. When only one literal of
+    /// the clause sits on the conflict level, the clause was unit below it
+    /// (an implication the search missed): the solver undoes that level
+    /// and lets the clause imply the literal at the clause's second-highest
+    /// level, learning nothing, since analysis would only copy the clause.
+    /// Otherwise the solver learns at the conflict level, undoes that level
+    /// only, and assigns the asserting literal at its own level; a learnt
+    /// unit goes to level 0 in place.
     fn learn_from(&mut self, confl: ClauseRef, assumption_level: u32) -> bool {
-        let conflict_level = self.clauses[confl as usize]
-            .lits
-            .iter()
-            .map(|q| self.level[q.var().index()])
-            .max()
-            .unwrap_or(0);
+        let (mut conflict_level, mut on_top) = (0, 0);
+        for q in self.db.lits(confl) {
+            let lvl = self.level[q.var().index()];
+            if lvl > conflict_level {
+                (conflict_level, on_top) = (lvl, 1);
+            } else if lvl == conflict_level {
+                on_top += 1;
+            }
+        }
         if conflict_level == 0 {
             self.ok = false;
             return false;
         }
         if conflict_level <= assumption_level {
             return false;
+        }
+        if on_top == 1 {
+            self.cancel_until(conflict_level - 1);
+            let (implied, lvl) = self.rewatch_as_reason(confl);
+            self.assign(implied, lvl, Some(confl));
+            return true;
         }
         self.cancel_until(conflict_level);
         let (learnt, asserting_level, lbd) = self.analyze(confl);
@@ -897,10 +1084,51 @@ impl Solver {
         let from = if learnt.len() == 1 {
             None
         } else {
-            Some(self.attach_clause(learnt, true, lbd))
+            Some(self.attach_clause(&learnt, true, lbd))
         };
         self.assign(asserting, asserting_level, from);
         true
+    }
+
+    /// Order clause `c`, all of whose literals are false but one
+    /// unassigned, as a reason: the unassigned literal at position 0 and
+    /// the highest-level false literal at position 1. A long clause's
+    /// watches move to those two, which keeps the two-watched-literal
+    /// invariant for the implication. Returns the implied literal and its
+    /// level.
+    fn rewatch_as_reason(&mut self, c: ClauseRef) -> (Lit, u32) {
+        let lits = self.db.lits_mut(c);
+        let old = [lits[0], lits[1]];
+        let free = lits
+            .iter()
+            .position(|&l| value_of(&self.assigns, l) == LBOOL_UNDEF)
+            .expect("the undone level held one literal of the clause");
+        lits.swap(0, free);
+        let mut top = 1;
+        for k in 2..lits.len() {
+            if self.level[lits[k].var().index()] > self.level[lits[top].var().index()] {
+                top = k;
+            }
+        }
+        lits.swap(1, top);
+        let new = [lits[0], lits[1]];
+        if lits.len() > 2 {
+            for w in old.into_iter().filter(|w| !new.contains(w)) {
+                let list = &mut self.watches[(!w).code()];
+                if let Some(p) = list.iter().position(|x| x.cref == c) {
+                    list.swap_remove(p);
+                }
+            }
+            for (k, &n) in new.iter().enumerate() {
+                if !old.contains(&n) {
+                    self.watches[(!n).code()].push(Watcher {
+                        cref: c,
+                        blocker: new[1 - k],
+                    });
+                }
+            }
+        }
+        (new[0], self.level[new[1].var().index()])
     }
 
     fn search(&mut self, assumptions: &[Lit], conflicts_before_restart: u64) -> SearchOutcome {
@@ -951,6 +1179,9 @@ impl Solver {
                     }
                     continue;
                 }
+                if self.heap_stale {
+                    self.heap_rebuild();
+                }
                 match self.pick_branch_var() {
                     None => return SearchOutcome::Sat,
                     Some(v) => {
@@ -985,6 +1216,25 @@ impl Solver {
         self.heap_pos[v.index()] = self.heap.len();
         self.heap.push(v);
         self.heap_sift_up(self.heap.len() - 1);
+    }
+
+    /// Rebuild the heap in O(n) from the unassigned, non-eliminated
+    /// variables, in index order.
+    fn heap_rebuild(&mut self) {
+        for &v in &self.heap {
+            self.heap_pos[v.index()] = usize::MAX;
+        }
+        self.heap.clear();
+        for i in 0..self.assigns.len() {
+            if self.assigns[i] == LBOOL_UNDEF && !self.eliminated[i] {
+                self.heap_pos[i] = self.heap.len();
+                self.heap.push(Var(i as u32));
+            }
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.heap_sift_down(i);
+        }
+        self.heap_stale = false;
     }
 
     fn heap_pop(&mut self) -> Option<Var> {
@@ -1416,6 +1666,83 @@ mod tests {
         let (mut s, _, _) = build(true);
         assert_eq!(s.search(&[], 100), SearchOutcome::Unsat);
         assert!(!s.ok);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn conflict_with_one_literal_on_its_level_learns_nothing() {
+        // Decide a on level 1 and b on level 2 without propagating: the
+        // clause is then false with only ¬b on level 2, so it was unit on
+        // level 1, an implication the search missed. Undoing level 2 and
+        // implying ¬b on level 1, with the clause as its reason, replaces
+        // learning a copy of the clause. The long form's watches sit on
+        // two level-1 literals (w0, w1), so one of them must move to ¬b.
+        for long in [false, true] {
+            let mut s = Solver::new();
+            let [w0, w1, a, b] = [(); 4].map(|_| s.new_var());
+            let clause = if long {
+                vec![Lit::pos(w0), Lit::pos(w1), Lit::neg(a), Lit::neg(b)]
+            } else {
+                vec![Lit::neg(a), Lit::neg(b)]
+            };
+            assert!(s.add_clause(&clause));
+            decide(&mut s, Lit::pos(a));
+            if long {
+                s.unchecked_enqueue(Lit::neg(w0), None);
+                s.unchecked_enqueue(Lit::neg(w1), None);
+            }
+            decide(&mut s, Lit::pos(b));
+            let confl = s.propagate().expect("the clause is false");
+            assert!(s.learn_from(confl, 0));
+            assert_eq!(s.num_learnt, 0, "learnt a copy of the clause");
+            assert_eq!(s.db.refs, vec![confl]);
+            assert_eq!(s.decision_level(), 1);
+            assert_eq!(s.lit_value(Lit::neg(b)), 1);
+            assert_eq!(s.level[b.index()], 1);
+            assert_eq!(s.reason[b.index()], Some(confl));
+            // The reason's implied literal is first, and exactly its first
+            // two literals are watched.
+            let lits = s.db.lits(confl).to_vec();
+            assert_eq!(lits[0], Lit::neg(b));
+            let layer = if long { &s.watches } else { &s.bin_watches };
+            for (k, &l) in lits.iter().enumerate() {
+                let watched = layer[(!l).code()].iter().any(|w| w.cref == confl);
+                assert_eq!(watched, k < 2, "literal {l} at {k}");
+            }
+            assert_eq!(s.search(&[], 100), SearchOutcome::Sat);
+            assert_eq!(s.lit_value(Lit::neg(b)), 1);
+            assert_eq!(s.num_learnt, 0);
+        }
+    }
+
+    #[test]
+    fn preprocess_leaves_a_compact_arena_and_exact_watch_lists() {
+        // A budgeted solve leaves learnt clauses; preprocessing with every
+        // other variable frozen then eliminates variables (deleting and
+        // adding clauses) and drops the learnt clauses that mention them.
+        let mut s = pigeonhole(7, 6);
+        s.set_conflict_budget(Some(200));
+        assert_eq!(s.solve(), SolveResult::Unknown);
+        let learnt_before = s.num_learnt;
+        assert!(learnt_before > 0);
+        let frozen: Vec<Var> = (0..s.assigns.len())
+            .step_by(2)
+            .map(Var::from_index)
+            .collect();
+        let stats = s.preprocess(&frozen);
+        assert!(stats.vars_eliminated > 0 && stats.resolvents_added > 0);
+        assert!(s.num_learnt < learnt_before);
+        // The arena holds the live clauses and nothing else.
+        assert_eq!(s.db.wasted, 0);
+        assert!(s.db.refs.iter().all(|&c| !s.db.is_deleted(c)));
+        let words: usize = s.db.refs.iter().map(|&c| s.db.words(c)).sum();
+        assert_eq!(s.db.arena.len(), words);
+        assert_eq!(s.db.arena.capacity(), words);
+        assert!(s.db.refs.windows(2).all(|w| w[0] < w[1]), "creation order");
+        for list in s.watches.iter().chain(&s.bin_watches) {
+            assert_eq!(list.len(), list.capacity());
+        }
+        s.set_conflict_budget(None);
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 

@@ -277,3 +277,107 @@ proptest! {
         }
     }
 }
+
+/// Pigeonhole PHP(4, 3) over variables 0..12 (pigeon `i` in hole `j` is
+/// variable `3i + j`), every clause guarded by `¬x12`: unsatisfiable
+/// whenever x12 holds, and refuting it takes real search, so learnt
+/// clauses pile up.
+fn guarded_pigeonhole() -> Vec<Vec<(usize, bool)>> {
+    let guard = (12, false);
+    let mut clauses: Vec<Vec<(usize, bool)>> = (0..4)
+        .map(|i| vec![(3 * i, true), (3 * i + 1, true), (3 * i + 2, true), guard])
+        .collect();
+    for j in 0..3 {
+        for a in 0..4 {
+            for b in a + 1..4 {
+                clauses.push(vec![(3 * a + j, false), (3 * b + j, false), guard]);
+            }
+        }
+    }
+    clauses
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn preprocessed_solver_under_tight_clause_db_agrees_with_brute_force(
+        random in prop::collection::vec(
+            prop::collection::vec((0usize..16, any::<bool>()), 3..4),
+            4..24,
+        ),
+        frozen_mask in any::<u16>(),
+        db_limit in 1usize..=4,
+        steps in prop::collection::vec(
+            (
+                0u8..3,
+                prop::collection::vec((0usize..16, any::<bool>()), 0..6),
+            ),
+            1..8,
+        ),
+    ) {
+        // A guarded pigeonhole plus random 3-clauses over 16 variables,
+        // preprocessed with a random frozen set (always including the
+        // guard x12): preprocessing compacts the clause arena and rebuilds
+        // the watch lists, and a learnt cap of 1–4 then runs the database
+        // reduction on that arena while a query under x12 refutes the
+        // pigeonhole. Each step adds a unit on a frozen literal, or solves
+        // under frozen assumptions (led by x12 on every other solve
+        // step), and every verdict must equal
+        // brute force over the original clauses plus the units so far and
+        // the assumptions. A Sat model must satisfy every unit added after
+        // preprocessing and every assumption, and its frozen values must
+        // extend to a model of the original clauses (eliminated variables
+        // are existentially quantified, frozen ones kept).
+        let mut clauses = guarded_pigeonhole();
+        clauses.extend(random);
+        let (mut s, vars, ok) = build_solver(16, &clauses);
+        prop_assume!(ok);
+        let frozen_idx: Vec<usize> = (0..16)
+            .filter(|&i| i == 12 || frozen_mask >> i & 1 == 1)
+            .collect();
+        let frozen: Vec<Var> = frozen_idx.iter().map(|&i| vars[i]).collect();
+        s.preprocess(&frozen);
+        s.set_clause_db_limit(db_limit);
+        let mut units: Vec<(usize, bool)> = Vec::new();
+        let mut ok = true;
+        for (kind, lits) in &steps {
+            let mut lits: Vec<(usize, bool)> = lits
+                .iter()
+                .map(|&(v, p)| (frozen_idx[v % frozen_idx.len()], p))
+                .collect();
+            if *kind == 2 {
+                lits.insert(0, (12, true));
+            }
+            if *kind == 0 {
+                let Some(&(v, p)) = lits.first() else { continue };
+                ok &= s.add_clause(&[Lit::with_phase(vars[v], p)]);
+                units.push((v, p));
+                if !ok {
+                    prop_assert!(brute_force_under(16, &clauses, &units).is_none(), "conflict at add but satisfiable");
+                }
+                continue;
+            }
+            let alits: Vec<Lit> = lits.iter().map(|&(v, p)| Lit::with_phase(vars[v], p)).collect();
+            let got = s.solve_with(&alits);
+            let fixed: Vec<(usize, bool)> = units.iter().chain(&lits).copied().collect();
+            let expected = brute_force_under(16, &clauses, &fixed);
+            prop_assert!(got != SolveResult::Unknown);
+            prop_assert_eq!(got == SolveResult::Sat, expected.is_some(), "units {:?} assumptions {:?}", units, lits);
+            if got == SolveResult::Sat {
+                for &(v, p) in &fixed {
+                    prop_assert_eq!(s.value(vars[v]), Some(p), "model violates unit or assumption x{}", v);
+                }
+                let model: Vec<(usize, bool)> = frozen_idx
+                    .iter()
+                    .filter_map(|&v| s.value(vars[v]).map(|b| (v, b)))
+                    .collect();
+                prop_assert_eq!(model.len(), frozen_idx.len(), "a frozen variable has no model value");
+                prop_assert!(
+                    brute_force_under(16, &clauses, &model).is_some(),
+                    "frozen model values do not extend to a model"
+                );
+            }
+        }
+    }
+}

@@ -8,30 +8,48 @@ use pdat_repro::isa::armv6m::ThumbInstr;
 use pdat_repro::workloads::kernels_thumb::{
     t_automotive_kernels, t_networking_kernels, t_security_kernels,
 };
-use pdat_repro::workloads::{kernels_rv, run_rv_kernel, run_thumb_kernel, RvKernel};
+use pdat_repro::workloads::{kernels_rv, run_rv_kernel, run_thumb_kernel, Rv32Iss, RvKernel};
 
-fn gate_level_result(kernel: &RvKernel) -> (u32, u64) {
+/// Run `kernel` on the gate-level Ibex up to its `ecall` and compare the
+/// architectural state with the ISS: x1–x31 and the data memory above the
+/// image. Returns the ISS run and the cycles the gates took.
+fn check_on_gates(kernel: &RvKernel) -> (Rv32Iss, u64) {
     let core = build_ibex();
     let mut h = CoreHarness::new(&core, &kernel.image, 4096);
-    // Run until the trap for `ecall` fires (the core redirects to mtvec=0;
-    // we simply stop at the first trap strobe by bounding on retires).
+    // The ISS counts the `ecall` among its retires and stops on it, with
+    // its pc on the `ecall`. One retire more would be the first
+    // instruction of the trap handler at mtvec = 0.
     let iss = run_rv_kernel(kernel);
-    let want_retires = iss.retired as usize + 1; // + the ecall itself
+    let want_retires = iss.retired as usize;
     let got = h.run_until_retires(want_retires, kernel.fuel * 40);
     assert_eq!(
         got, want_retires,
         "{}: gate-level core stalled ({} of {} retires)",
         kernel.name, got, want_retires
     );
-    (h.reg(10), h.cycles())
+    let last_pc = h.retires.last().map(|&(pc, _)| pc);
+    assert_eq!(
+        last_pc,
+        Some(iss.pc),
+        "{}: last retire is not the ecall",
+        kernel.name
+    );
+    for r in 1..32 {
+        assert_eq!(h.reg(r), iss.regs[r], "{}: x{r} diverged", kernel.name);
+    }
+    let image = kernel.image.len();
+    assert_eq!(
+        h.dmem[image..],
+        iss.mem[image..],
+        "{}: data memory above the image diverged",
+        kernel.name
+    );
+    (iss, h.cycles())
 }
 
 #[test]
 fn basicmath_matches_iss_on_gates() {
-    let k = kernels_rv::basicmath();
-    let iss = run_rv_kernel(&k);
-    let (x10, cycles) = gate_level_result(&k);
-    assert_eq!(x10, iss.regs[10], "basicmath diverged");
+    let (iss, cycles) = check_on_gates(&kernels_rv::basicmath());
     // div/rem stall 33 cycles each: the gate-level run must be much longer
     // than the instruction count.
     assert!(cycles > iss.retired, "mul/div stalls expected");
@@ -39,34 +57,22 @@ fn basicmath_matches_iss_on_gates() {
 
 #[test]
 fn crc32_matches_iss_on_gates() {
-    let k = kernels_rv::crc32();
-    let iss = run_rv_kernel(&k);
-    let (x10, _) = gate_level_result(&k);
-    assert_eq!(x10, iss.regs[10], "crc32 diverged");
+    check_on_gates(&kernels_rv::crc32());
 }
 
 #[test]
 fn patricia_matches_iss_on_gates() {
-    let k = kernels_rv::patricia();
-    let iss = run_rv_kernel(&k);
-    let (x10, _) = gate_level_result(&k);
-    assert_eq!(x10, iss.regs[10], "patricia diverged");
+    check_on_gates(&kernels_rv::patricia());
 }
 
 #[test]
 fn sha_mix_matches_iss_on_gates() {
-    let k = kernels_rv::sha_mix();
-    let iss = run_rv_kernel(&k);
-    let (x10, _) = gate_level_result(&k);
-    assert_eq!(x10, iss.regs[10], "sha_mix diverged");
+    check_on_gates(&kernels_rv::sha_mix());
 }
 
 #[test]
 fn qsort_matches_iss_on_gates() {
-    let k = kernels_rv::qsort();
-    let iss = run_rv_kernel(&k);
-    let (x10, _) = gate_level_result(&k);
-    assert_eq!(x10, iss.regs[10], "qsort diverged");
+    check_on_gates(&kernels_rv::qsort());
 }
 
 #[test]
